@@ -30,7 +30,7 @@ a move raise NonReducible.
 
 import enum
 
-from .scalars import LaurentScalar, quantum_integer
+from .scalars import LaurentScalar, SparseSum, term_text
 
 ONE = LaurentScalar.one()
 
@@ -180,10 +180,10 @@ def _mono_mul(family, left, right):
     return (beta, a, b, c, d), s_sh, r_sh
 
 
-class Element:
+class Element(SparseSum):
     """Finite linear combination of canonical monomials over one family."""
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("family",)
 
     def __init__(self, family, terms=None):
         self.family = family
@@ -192,13 +192,23 @@ class Element:
             for mono, coeff in terms.items():
                 coeff = family.canon(coeff)
                 if coeff:
-                    prev = data.get(mono)
-                    total = prev + coeff if prev is not None else coeff
-                    if total:
-                        data[mono] = total
-                    else:
-                        del data[mono]
+                    data[mono] = coeff
         self.terms = data
+
+    def _like(self, terms):
+        out = object.__new__(Element)
+        out.family = self.family
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        if not isinstance(other, Element):
+            return None
+        self._check_family(other)
+        return other
+
+    def _term(self, mono, coeff):
+        return term_text(coeff, _mono_factors(mono))
 
     @classmethod
     def zero(cls, family):
@@ -213,9 +223,6 @@ class Element:
         if isinstance(coeff, int):
             coeff = LaurentScalar.integer(coeff)
         return cls(family, {(0, 0, 0, 0, 0): coeff})
-
-    def is_zero(self):
-        return not self.terms
 
     def as_scalar(self):
         """The coefficient of the identity if the element is scalar, else None."""
@@ -237,32 +244,6 @@ class Element:
         if self.family is not other.family:
             raise ValueError("elements belong to different relation families")
 
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._check_family(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            total = prev + coeff if prev is not None else coeff
-            if total:
-                out[mono] = total
-            else:
-                del out[mono]
-        result = Element(self.family)
-        result.terms = out
-        return result
-
-    def __neg__(self):
-        result = Element(self.family)
-        result.terms = {mono: -coeff for mono, coeff in self.terms.items()}
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, coeff):
         """Multiply by a scalar (int or LaurentScalar)."""
         if isinstance(coeff, int):
@@ -270,9 +251,7 @@ class Element:
         coeff = self.family.canon(coeff)
         if not coeff:
             return Element.zero(self.family)
-        result = Element(self.family)
-        result.terms = {mono: c * coeff for mono, c in self.terms.items()}
-        return result
+        return self._like({mono: c * coeff for mono, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentScalar)):
@@ -294,9 +273,7 @@ class Element:
                     out[mono] = total
                 else:
                     del out[mono]
-        result = Element(family)
-        result.terms = out
-        return result
+        return self._like(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentScalar)):
@@ -318,25 +295,9 @@ class Element:
             return NotImplemented
         return self.family is other.family and self.terms == other.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __hash__(self):
         return hash((self.family, frozenset(
             (mono, coeff) for mono, coeff in self.terms.items())))
-
-    def text(self):
-        """Canonical rendering, terms ordered by monomial exponent tuple."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for mono, coeff in sorted(self.terms.items()):
-            body, negative = _term_text(mono, coeff)
-            if not chunks:
-                chunks.append("-" + body if negative else body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
 
     def __repr__(self):
         return "<%s: %s>" % (self.family.value, self.text())
@@ -354,23 +315,6 @@ def _mono_factors(mono):
         if exp:
             parts.append(name if exp == 1 else "%s^%d" % (name, exp))
     return parts
-
-
-def _term_text(mono, coeff):
-    factors = _mono_factors(mono)
-    if not factors:
-        text = coeff.text()
-        if text.startswith("-"):
-            return text[1:], True
-        return text, False
-    if len(coeff.terms) == 1:
-        ((a, b), c), = coeff.terms.items()
-        negative = c < 0
-        plain = LaurentScalar({(a, b): abs(c)})
-        if not plain.is_one():
-            factors.insert(0, plain.text())
-        return " * ".join(factors), negative
-    return "(%s) * %s" % (coeff.text(), " * ".join(factors)), False
 
 
 _GEN_MONO = {

@@ -209,7 +209,7 @@ def main(argv=None, out=None):
     except (ParseError, WordSyntaxError, UsageError, UnsupportedFamily) as err:
         print("error: %s" % err, file=sys.stderr)
         return USAGE_EXIT
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         print("error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
         return FAILURE_EXIT
 

@@ -97,7 +97,12 @@ class _Parser:
 
 
 class _ElementParser(_Parser):
-    """Sums of products of powered atoms, evaluated as it parses."""
+    """Sums of products of powered atoms, evaluated as it parses.
+
+    A subclass names its GENERATORS, maps each scalar name to the (s, r)
+    exponents of its first power in SCALARS, and builds values through
+    generator_element(name, exponent) and scalar_element(scalar).
+    """
 
     def parse(self):
         value = self.expression()
@@ -163,42 +168,42 @@ class _ElementParser(_Parser):
             return self.named(token, exponent, col)
         raise ParseError("expected a value", col)
 
+    def integer_element(self, value):
+        return self.scalar_element(LaurentScalar.integer(value))
+
+    def named(self, name, exponent, col):
+        if name in self.GENERATORS:
+            return self.generator_element(name, exponent)
+        if name not in self.SCALARS:
+            raise ParseError("unknown name %r" % name, col)
+        s_exp, r_exp = self.SCALARS[name]
+        return self.scalar_element(
+            LaurentScalar.monomial(1, s_exp * exponent, r_exp * exponent))
+
 
 class TriElementParser(_ElementParser):
+    GENERATORS = TRI_GENERATORS
+    SCALARS = {"s": (1, 0), "q": (2, 0), "r": (0, 1)}
+
     def __init__(self, tokens, family):
         super().__init__(tokens)
         self.family = family
 
-    def integer_element(self, value):
-        return Element.scalar(self.family, LaurentScalar.integer(value))
+    def generator_element(self, name, exponent):
+        return generator(name, exponent, self.family)
 
-    def named(self, name, exponent, col):
-        if name in TRI_GENERATORS:
-            return generator(name, exponent, self.family)
-        if name == "s":
-            scalar = LaurentScalar.monomial(1, exponent, 0)
-        elif name == "q":
-            scalar = LaurentScalar.monomial(1, 2 * exponent, 0)
-        elif name == "r":
-            scalar = LaurentScalar.monomial(1, 0, exponent)
-        else:
-            raise ParseError("unknown name %r" % name, col)
+    def scalar_element(self, scalar):
         return Element.scalar(self.family, scalar)
 
 
 class BackgroundElementParser(_ElementParser):
-    def integer_element(self, value):
-        return background.QGElement.scalar(value)
+    GENERATORS = BG_GENERATORS
+    SCALARS = {"s": (1, 0), "q": (2, 0)}
 
-    def named(self, name, exponent, col):
-        if name in BG_GENERATORS:
-            return background.QGElement.generator(name, exponent)
-        if name == "s":
-            scalar = LaurentScalar.monomial(1, exponent, 0)
-        elif name == "q":
-            scalar = LaurentScalar.monomial(1, 2 * exponent, 0)
-        else:
-            raise ParseError("unknown name %r" % name, col)
+    def generator_element(self, name, exponent):
+        return background.QGElement.generator(name, exponent)
+
+    def scalar_element(self, scalar):
         return background.QGElement.scalar(scalar)
 
 

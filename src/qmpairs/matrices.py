@@ -53,11 +53,8 @@ class UTMatrix:
 
     def inverse(self):
         """(a11, a12; 0, a22)^-1 = (a11^-1, -a11^-1 a12 a22^-1; 0, a22^-1)."""
-        try:
-            top = invert_element(self.a11)
-            bot = invert_element(self.a22)
-        except NonInvertibleEntry:
-            raise
+        top = invert_element(self.a11)
+        bot = invert_element(self.a22)
         return UTMatrix(top, -(top * self.a12 * bot), bot)
 
     def pow(self, n):

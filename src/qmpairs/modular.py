@@ -15,7 +15,8 @@ transforms are confined to diagonal powers and reject these words.
 from .scalars import LaurentScalar, q_pow
 from .algebra import TYPE_I, TYPE_II, TYPE_III
 from .matrices import UTMatrix, extract_power_form
-from .pairs import QPair, generator_pair, RelationReport, HOLDS, VIOLATED
+from .pairs import QPair, generator_pair
+from .reports import RelationReport, VIOLATED, compare
 
 LETTERS = ("S", "T", "S'", "T'")
 _INVERSE = {"S": "S'", "S'": "S", "T": "T'", "T'": "T"}
@@ -173,18 +174,10 @@ def exponent_rows(pair):
 
 
 def _member_reports(result, expected, suite, family, label):
-    out = []
-    for idx, (got, want) in enumerate(((result.u1, expected.u1),
-                                       (result.u2, expected.u2)), start=1):
-        relation = "%s: member %d" % (label, idx)
-        if got == want:
-            out.append(RelationReport(suite, family.value, {}, relation,
-                                      HOLDS))
-        else:
-            out.append(RelationReport(suite, family.value, {}, relation,
-                                      VIOLATED, False, got.text(),
-                                      want.text()))
-    return out
+    members = ((result.u1, expected.u1), (result.u2, expected.u2))
+    return [compare(got, want, suite, family.value, {},
+                    "%s: member %d" % (label, idx))
+            for idx, (got, want) in enumerate(members, start=1)]
 
 
 def verify_presentation(family, suite="theorem3"):
@@ -218,12 +211,8 @@ def check_correspondence(word, family, suite="theorem3"):
     except CorrespondenceBroken as err:
         return [RelationReport(suite, family.value, {}, relation, VIOLATED,
                                False, str(err), word_to_matrix(word).text())]
-    matrix = word_to_matrix(word)
-    if rows == matrix.rows():
-        return [RelationReport(suite, family.value, {}, relation, HOLDS)]
-    got = "[[%d, %d], [%d, %d]]" % (rows[0] + rows[1])
-    return [RelationReport(suite, family.value, {}, relation, VIOLATED,
-                           False, got, matrix.text())]
+    return [compare(SL2ZMatrix(*rows[0], *rows[1]), word_to_matrix(word),
+                    suite, family.value, {}, relation)]
 
 
 def random_words(count, max_length, seed):

@@ -17,10 +17,11 @@ collapses to 1 + q b c Di.  The measure m + min(i, l) strictly drops,
 so absorption terminates.
 """
 
+import operator
 from functools import lru_cache
 
-from .scalars import LaurentScalar, q_pow, ONE
-from .pairs import RelationReport, HOLDS, VIOLATED
+from .scalars import LaurentScalar, SparseSum, term_text, q_pow, ONE
+from .reports import RelationReport, HOLDS, VIOLATED, compare
 
 MQ2 = "mq2"
 
@@ -167,10 +168,10 @@ _GENERATOR_MONOS = {
 _MONO_NAMES = ("a", "b", "c", "d", "Di", "a'", "b'", "c'", "d'", "Di'")
 
 
-class QGElement:
+class QGElement(SparseSum):
     """Linear combination of normal-form monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms):
         self.terms = {}
@@ -178,6 +179,19 @@ class QGElement:
             coeff = _as_scalar(coeff)
             if coeff:
                 self.terms[mono] = coeff
+
+    def _like(self, terms):
+        out = object.__new__(QGElement)
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        return other if isinstance(other, QGElement) else None
+
+    def _term(self, mono, coeff):
+        factors = [name if exp == 1 else "%s^%d" % (name, exp)
+                   for name, exp in zip(_MONO_NAMES, mono) if exp]
+        return term_text(coeff, factors)
 
     @classmethod
     def zero(cls):
@@ -201,26 +215,6 @@ class QGElement:
                 "are spelled with Di")
         base = _GENERATOR_MONOS[name]
         return cls({tuple(e * exponent for e in base): ONE})
-
-    def __add__(self, other):
-        if not isinstance(other, QGElement):
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = terms.get(mono, 0) + coeff
-            if total:
-                terms[mono] = total
-            else:
-                terms.pop(mono, None)
-        return QGElement(terms)
-
-    def __neg__(self):
-        return QGElement({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, QGElement):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, coeff):
         coeff = _as_scalar(coeff)
@@ -260,37 +254,6 @@ class QGElement:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            coeff = self.terms[mono]
-            body = " * ".join(
-                name if exp == 1 else "%s^%d" % (name, exp)
-                for name, exp in zip(_MONO_NAMES, mono) if exp)
-            coeff_text = coeff.text()
-            if not body:
-                parts.append(coeff_text)
-            elif len(coeff.terms) > 1:
-                parts.append("(%s) * %s" % (coeff_text, body))
-            elif coeff_text == "1":
-                parts.append(body)
-            elif coeff_text == "-1":
-                parts.append("-" + body)
-            else:
-                parts.append("%s * %s" % (coeff_text, body))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
 
     def __repr__(self):
         return "QGElement(%s)" % self.text()
@@ -365,8 +328,7 @@ def qg_inverse_matrix(primed=False):
         di * gen("a" + suffix))
 
 
-def fm_mul(x, y):
-    return x * y
+fm_mul = operator.mul
 
 
 def fm_pow(matrix, n, inverse=None):
@@ -393,14 +355,6 @@ def quantum_determinant_element(primed=False):
             - (gen("b" + suffix) * gen("c" + suffix)).scale(q_pow(2)))
 
 
-def _compare(lhs, rhs, suite, params, relation, expected=False):
-    if lhs == rhs:
-        return RelationReport(suite, MQ2, dict(params), relation, HOLDS,
-                              expected)
-    return RelationReport(suite, MQ2, dict(params), relation, VIOLATED,
-                          expected, lhs.text(), rhs.text())
-
-
 def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
             tag=""):
     """The six defining relations among the entries, at Q = s^half.
@@ -422,7 +376,7 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
         ("M11*M22 - M22*M11 = (Q-Q^-1)*M12*M21 [%s]" % sub,
          A * D - D * A, (B * C).scale(gap)),
     ]
-    return [_compare(lhs, rhs, suite, params, tag + rel, expected)
+    return [compare(lhs, rhs, suite, MQ2, params, tag + rel, expected)
             for rel, lhs, rhs in checks]
 
 
@@ -438,13 +392,13 @@ def verify_results(n_range, suite=MQ2):
     dq = quantum_determinant_element()
     for name in ("a", "b", "c", "d", "Di"):
         x = QGElement.generator(name)
-        out.append(_compare(dq * x, x * dq, suite, {},
-                            "Dq*%s = %s*Dq" % (name, name)))
+        out.append(compare(dq * x, x * dq, suite, MQ2, {},
+                           "Dq*%s = %s*Dq" % (name, name)))
     u = generator_full_matrix()
     uinv = qg_inverse_matrix()
     identity = FullMatrix.identity()
-    out.append(_compare(u * uinv, identity, suite, {}, "U*U^-1 = I"))
-    out.append(_compare(uinv * u, identity, suite, {}, "U^-1*U = I"))
+    out.append(compare(u * uinv, identity, suite, MQ2, {}, "U*U^-1 = I"))
+    out.append(compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I"))
     up = generator_full_matrix(primed=True)
     upinv = qg_inverse_matrix(primed=True)
     pow_cache = {0: identity}

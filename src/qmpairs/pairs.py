@@ -1,21 +1,15 @@
 """Pairs of triangular matrices and the relation verification suites.
 
 A QPair holds two upper triangular matrices over one relation family.
-The check_* functions reduce both sides of a relation and report the
-outcome; nothing raises on a violated relation, since expected failures
-(the Type III off-diagonal witness) are part of the contract.  Every
-report carries the suite name, the family, the integer parameters and,
-when violated, both reduced sides.
+The check_* functions reduce both sides of a relation and return
+RelationReport records (see reports); a violated relation is reported,
+never raised.
 """
 
-from dataclasses import dataclass, field
-
 from .scalars import LaurentScalar, q_pow, r_pow
-from .algebra import RelationFamily, TYPE_I, TYPE_II, TYPE_III, Element, generator
+from .algebra import TYPE_I, TYPE_II, TYPE_III, Element, generator
 from .matrices import UTMatrix, generator_matrix, closed_power, closed_product_entries
-
-HOLDS = "holds"
-VIOLATED = "violated"
+from .reports import RelationReport, compare  # noqa: F401 (re-exported)
 
 
 class UnsupportedTransform(ValueError):
@@ -24,30 +18,6 @@ class UnsupportedTransform(ValueError):
 
 class NonUnitScalar(ValueError):
     """Corner rescaling needs an invertible monomial scalar."""
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    suite: str
-    family: str
-    params: dict = field(default_factory=dict)
-    relation: str = ""
-    status: str = HOLDS
-    expected: bool = False
-    lhs: str = None
-    rhs: str = None
-
-    def ok(self):
-        """True when the report needs no attention."""
-        return self.status == HOLDS or self.expected
-
-
-def _compare(lhs, rhs, suite, family, params, relation, expected=False):
-    if lhs == rhs:
-        return RelationReport(suite, family, dict(params), relation, HOLDS,
-                              expected)
-    return RelationReport(suite, family, dict(params), relation, VIOLATED,
-                          expected, lhs.text(), rhs.text())
 
 
 class QPair:
@@ -68,15 +38,22 @@ class QPair:
         return self.u1.family
 
     def _pow(self, which, n):
+        """Member power n, extending the cache from the nearest cached
+        exponent of the same sign one factor at a time."""
         cache = self._pows[which]
         if n not in cache:
-            base = self.u1 if which == 0 else self.u2
-            if n > 0:
-                cache[n] = self._pow(which, n - 1) * base
-            else:
+            step = 1 if n > 0 else -1
+            factor = self.u1 if which == 0 else self.u2
+            if step < 0:
                 if -1 not in cache:
-                    cache[-1] = base.inverse()
-                cache[n] = self._pow(which, n + 1) * cache[-1]
+                    cache[-1] = factor.inverse()
+                factor = cache[-1]
+            k = n
+            while k not in cache:
+                k -= step
+            while k != n:
+                cache[k + step] = cache[k] * factor
+                k += step
         return cache[n]
 
     def u1_pow(self, n):
@@ -112,8 +89,8 @@ def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", family=None,
     lhs = m1 * m2
     rhs = (m2 * m1).scale(q_pow(half_q_exponent))
     relation = "M*N = s^%d * N*M" % half_q_exponent
-    return [_compare(lhs, rhs, suite, family, params or {}, relation,
-                     expected)]
+    return [compare(lhs, rhs, suite, family, params or {}, relation,
+                    expected)]
 
 
 def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
@@ -127,27 +104,17 @@ def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
     family = family or matrix.family.value
     a, b, c = matrix.a11, matrix.a12, matrix.a22
     out = []
-    out.append(_compare(a * c, c * a, suite, family, params or {},
-                        tag + "A*C = C*A", expected))
+    out.append(compare(a * c, c * a, suite, family, params or {},
+                       tag + "A*C = C*A", expected))
     if central_value is not None:
-        out.append(_compare(a * c, Element.scalar(matrix.family, central_value),
-                            suite, family, params or {},
-                            tag + "A*C = %s" % central_value.text(), expected))
+        out.append(compare(a * c, Element.scalar(matrix.family, central_value),
+                           suite, family, params or {},
+                           tag + "A*C = %s" % central_value.text(), expected))
     nd_text = nd_parameter.text()
-    out.append(_compare(a * b, (b * c).scale(nd_parameter), suite, family,
-                        params or {}, tag + "A*B = %s * B*C" % nd_text,
-                        expected))
+    out.append(compare(a * b, (b * c).scale(nd_parameter), suite, family,
+                       params or {}, tag + "A*B = %s * B*C" % nd_text,
+                       expected))
     return out
-
-
-_MUTUAL_LINES = (
-    ("A1*A2 = Q*A2*A1", "a11", "a11", 1),
-    ("A1*C2 = Q^-1*C2*A1", "a11", "a22", -1),
-    ("A2*C1 = Q*C1*A2", "a11", "a22", 1),
-    ("C1*C2 = Q*C2*C1", "a22", "a22", 1),
-    ("A1*B2 = Q*B2*C1", None, None, 1),
-    ("B1*C2 = Q*A2*B1", None, None, 1),
-)
 
 
 def check_mutual(pair, half_q_exponent, suite="adhoc", params=None,
@@ -176,7 +143,7 @@ def check_mutual(pair, half_q_exponent, suite="adhoc", params=None,
         ("B1*C2 = Q*A2*B1 [%s]" % sub,
          u1.a12 * u2.a22, (u2.a11 * u1.a12).scale(Q)),
     ]
-    return [_compare(lhs, rhs, suite, family, params or {}, rel, expected)
+    return [compare(lhs, rhs, suite, family, params or {}, rel, expected)
             for rel, lhs, rhs in checks]
 
 
@@ -264,7 +231,7 @@ def verify_prop1(family, power_range, suite="prop1"):
                 ys = generator(y, m, family)
                 lhs = xs * ys
                 rhs = (ys * xs).scale(q_pow(2 * e * n * m))
-                out.append(_compare(
+                out.append(compare(
                     lhs, rhs, suite, family.value, {"n": n, "m": m},
                     "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x)))
     for x, y, s_exp, r_exp in _BETA_SWAPS:
@@ -274,7 +241,7 @@ def verify_prop1(family, power_range, suite="prop1"):
             lhs = generator(x, n, family) * beta
             factor = LaurentScalar.monomial(1, s_exp * n, r_exp * n)
             rhs = (beta * generator(gname, n, family)).scale(factor)
-            out.append(_compare(
+            out.append(compare(
                 lhs, rhs, suite, family.value, {"n": n},
                 "%s^n * %s = f^n * %s * %s^n" % (x, y, y, gname)))
     return out
@@ -297,7 +264,7 @@ def verify_prop2(power_range, suite="prop2"):
                 ys = generator(y, m, TYPE_I)
                 lhs = xs * ys
                 rhs = (ys * xs).scale(q_pow(2 * e * n * m))
-                out.append(_compare(
+                out.append(compare(
                     lhs, rhs, suite, TYPE_I.value, {"n": n, "m": m},
                     "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x)))
     return out
@@ -309,17 +276,9 @@ def verify_prop3(family, power_range, suite="prop3"):
     for index in (1, 2):
         base = generator_matrix(index, family)
         for n in range(-power_range, power_range + 1):
-            lhs = base.pow(n)
-            rhs = closed_power(index, n, family)
-            if lhs == rhs:
-                out.append(RelationReport(
-                    suite, family.value, {"n": n},
-                    "U%d^n = closed power form" % index, HOLDS))
-            else:
-                out.append(RelationReport(
-                    suite, family.value, {"n": n},
-                    "U%d^n = closed power form" % index, VIOLATED, False,
-                    lhs.text(), rhs.text()))
+            out.append(compare(base.pow(n), closed_power(index, n, family),
+                               suite, family.value, {"n": n},
+                               "U%d^n = closed power form" % index))
     return out
 
 
@@ -328,20 +287,11 @@ def _theorem1_point(pair, n, m, suite):
     product = closed_product_entries(n, m, family)
     power_product = pair.u1_pow(n) * pair.u2_pow(m)
     params = {"n": n, "m": m}
-    out = []
-    if product == power_product:
-        out.append(RelationReport(suite, family.value, params,
-                                  "closed entries = U1^n*U2^m", HOLDS))
-    else:
-        out.append(RelationReport(suite, family.value, params,
-                                  "closed entries = U1^n*U2^m", VIOLATED,
-                                  False, product.text(), power_product.text()))
-    if family is TYPE_I:
-        central, nd = q_pow(2 * n * m), LaurentScalar.one()
-    elif family is TYPE_II:
-        central, nd = None, LaurentScalar.one()
-    else:
-        central, nd = None, r_pow(n)
+    out = [compare(product, power_product, suite, family.value, params,
+                   "closed entries = U1^n*U2^m")]
+    central, nd = family_internal_parameters(family, n)
+    if central is not None:
+        central = q_pow(2 * n * m)
     out += check_internal(product, central, nd, suite, family.value, params)
     return out
 
@@ -363,14 +313,14 @@ def verify_theorem1(family, power_range, suite="theorem1",
             out += _theorem1_point(pair, n, n, suite)
         probe = closed_product_entries(2, 1, family)
         a, b, c = probe.a11, probe.a12, probe.a22
-        out.append(_compare(a * c, c * a, suite, family.value,
-                            {"n": 2, "m": 1}, "A*C = C*A"))
+        out.append(compare(a * c, c * a, suite, family.value,
+                           {"n": 2, "m": 1}, "A*C = C*A"))
         lhs = a * b
         for k in range(-witness_range, witness_range + 1):
             rhs = (b * c).scale(r_pow(k))
-            out.append(_compare(lhs, rhs, suite, family.value,
-                                {"n": 2, "m": 1},
-                                "A*B = r^%d * B*C" % k, expected=True))
+            out.append(compare(lhs, rhs, suite, family.value,
+                               {"n": 2, "m": 1},
+                               "A*B = r^%d * B*C" % k, expected=True))
     else:
         for n in rng:
             for m in rng:
@@ -398,20 +348,12 @@ def verify_theorem2(family, power_range, suite="theorem2"):
         derived = make_product_pair(pair, n, m, s, t)
         half = 2 * (n * t - m * s)
         params = {"n": n, "m": m, "s": s, "t": t}
-        if family is TYPE_I:
-            central1 = central2 = LaurentScalar.one()
-            nd1 = nd2 = LaurentScalar.one()
-        elif family is TYPE_II:
-            central1 = central2 = None
-            nd1 = nd2 = LaurentScalar.one()
-        else:
-            central1 = central2 = None
-            nd1 = nd2 = r_pow(n)
+        central, nd = family_internal_parameters(family, n)
         out += check_q_commutation(derived.u1, derived.u2, half, suite,
                                    family.value, params)
-        out += check_internal(derived.u1, central1, nd1, suite, family.value,
+        out += check_internal(derived.u1, central, nd, suite, family.value,
                               params, tag="V1: ")
-        out += check_internal(derived.u2, central2, nd2, suite, family.value,
+        out += check_internal(derived.u2, central, nd, suite, family.value,
                               params, tag="V2: ")
         out += check_mutual(derived, half, suite, params)
     return out

@@ -8,21 +8,114 @@ parameter; engines that set r = 1 do so through substitute_r_one.
 """
 
 
-class LaurentScalar:
+class SparseSum:
+    """A finite sum held as {key: coefficient} with no zero coefficients.
+
+    The cold operations live here once.  A subclass supplies three hooks:
+    _like(terms) builds a value of the same kind from clean terms without
+    running __init__, _operand(other) coerces the other side of + and -
+    (None when it does not apply), and _term(key, coeff) renders one term
+    as (body, negative).  Products stay in the subclasses, whose inner
+    loops are the engine's hot paths.
+    """
+
+    __slots__ = ("terms",)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            prev = out.get(key)
+            total = coeff if prev is None else prev + coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -coeff for key, coeff in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def text(self):
+        """Canonical rendering, terms in ascending key order."""
+        if not self.terms:
+            return "0"
+        chunks = []
+        for key, coeff in sorted(self.terms.items()):
+            body, negative = self._term(key, coeff)
+            if not chunks:
+                chunks.append("-" + body if negative else body)
+            else:
+                chunks.append((" - " if negative else " + ") + body)
+        return "".join(chunks)
+
+
+def term_text(coeff, factors):
+    """One term coeff * factors as (body, negative) for SparseSum.text.
+
+    coeff is a LaurentScalar and factors the rendered generator powers.
+    A unit coefficient is left out, a sign is pulled out of a one-term
+    coefficient, and a longer coefficient is parenthesized.
+    """
+    text = coeff.text()
+    if factors and len(coeff.terms) > 1:
+        return "(%s) * %s" % (text, " * ".join(factors)), False
+    negative = text.startswith("-")
+    if negative:
+        text = text[1:]
+    if text != "1" or not factors:
+        factors = [text] + factors
+    return " * ".join(factors), negative
+
+
+def _wrap(clean_terms):
+    out = object.__new__(LaurentScalar)
+    out.terms = clean_terms
+    out._hash = None
+    return out
+
+
+def _coerce(value):
+    if isinstance(value, LaurentScalar):
+        return value
+    if isinstance(value, int):
+        return LaurentScalar.integer(value)
+    return None
+
+
+class LaurentScalar(SparseSum):
     """Immutable sparse Laurent polynomial over Z[s^+-1, r^+-1]."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_hash",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    data[key] = data.get(key, 0) + coeff
-                    if not data[key]:
-                        del data[key]
-        self.terms = data
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
         self._hash = None
+
+    _like = staticmethod(_wrap)
+    _operand = staticmethod(_coerce)
 
     @classmethod
     def zero(cls):
@@ -40,12 +133,6 @@ class LaurentScalar:
     def monomial(cls, coeff, s_exp=0, r_exp=0):
         return cls({(s_exp, r_exp): coeff})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
     def is_one(self):
         return self.terms == {(0, 0): 1}
 
@@ -60,36 +147,6 @@ class LaurentScalar:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return _wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _wrap({key: -coeff for key, coeff in self.terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -163,42 +220,19 @@ class LaurentScalar:
             return self.terms[(0, 0)]
         return None
 
-    def text(self):
-        """Canonical rendering, terms sorted by (s_exp, r_exp) ascending."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for (a, b), coeff in sorted(self.terms.items()):
-            factors = []
-            if abs(coeff) != 1 or (a == 0 and b == 0):
-                factors.append(str(abs(coeff)))
-            if a:
-                factors.append("s" if a == 1 else "s^%d" % a)
-            if b:
-                factors.append("r" if b == 1 else "r^%d" % b)
-            body = " * ".join(factors)
-            if not chunks:
-                chunks.append("-" + body if coeff < 0 else body)
-            else:
-                chunks.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(chunks)
+    def _term(self, key, coeff):
+        a, b = key
+        factors = []
+        if abs(coeff) != 1 or (a == 0 and b == 0):
+            factors.append(str(abs(coeff)))
+        if a:
+            factors.append("s" if a == 1 else "s^%d" % a)
+        if b:
+            factors.append("r" if b == 1 else "r^%d" % b)
+        return " * ".join(factors), coeff < 0
 
     def __repr__(self):
         return self.text()
-
-
-def _wrap(clean_terms):
-    out = LaurentScalar()
-    out.terms = clean_terms
-    return out
-
-
-def _coerce(value):
-    if isinstance(value, LaurentScalar):
-        return value
-    if isinstance(value, int):
-        return LaurentScalar.integer(value)
-    return None
 
 
 ZERO = LaurentScalar.zero()

@@ -43,6 +43,16 @@ def test_reduce_engine_error_exits_1(capsys):
     assert "BetaDegreeExceeded" in capsys.readouterr().err
 
 
+def test_reduce_recursion_error_exits_1(capsys):
+    # the background word reduction recurses once per letter swap
+    code, out = _run(["reduce", "--type", "mq2", "d^40 * a^40"])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: RecursionError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_reduce_parse_error_exits_2(capsys):
     code, _ = _run(["reduce", "--type", "I", "a1 + ^"])
     assert code == 2

@@ -4,6 +4,7 @@ import pytest
 
 from qmpairs.scalars import LaurentScalar, q_pow, r_pow
 from qmpairs.algebra import TYPE_I, TYPE_II, TYPE_III, Element
+from qmpairs.matrices import closed_power
 from qmpairs.pairs import (
     QPair, RelationReport, generator_pair, check_q_commutation,
     check_internal, check_mutual, make_product_pair, rescale_pair,
@@ -160,6 +161,13 @@ def test_pair_power_cache_consistency():
     assert pair.u1_pow(3) == u1 * u1 * u1
     assert pair.u1_pow(-2) == u1.inverse() * u1.inverse()
     assert pair.u2_pow(0).a12 == Element.zero(TYPE_III)
+
+
+def test_pair_power_cache_is_iterative():
+    # far past the default recursion limit, one factor per cache entry
+    pair = generator_pair(TYPE_I)
+    assert pair.u1_pow(1200) == closed_power(1, 1200, TYPE_I)
+    assert pair.u1_pow(-1200) == closed_power(1, -1200, TYPE_I)
 
 
 def test_pair_requires_single_family():
