@@ -26,6 +26,11 @@ A b generator can only absorb diagonal generators arriving from its left
 side.  Under Types II and III a g stranded left of a b, or an a stranded
 right of one, matches no relation at all; products that would need such
 a move raise NonReducible.
+
+The product kernel applies these relations to whole exponent blocks, so
+its scalar factor is a closed form bilinear in the exponents.
+oracle_reduce applies them one unit at a time and is the reference it is
+tested against.
 """
 
 import enum
@@ -107,77 +112,45 @@ def _mono_mul(family, left, right):
     """Product of two canonical monomials.
 
     Returns (monomial, s_shift, r_shift) where the shifts are the exponents
-    of the scalar factor produced by reordering.  The factor is collected
-    one adjacent swap at a time; any closed-form exponent shortcut added
-    later must be validated against oracle_reduce.
+    of the scalar factor produced by reordering.  The right monomial enters
+    one slot at a time, in the order a1, a2, b, g1, g2, and each slot moves
+    as a block: X^e crosses a left exponent f of a later diagonal letter Y
+    at the factor q^(-e*f*E[x][y]), and b_k turns a1^a a2^b on its left into
+    g1^a g2^b at a times the a1 push and b times the a2 push of _BPUSH.
+    oracle_reduce applies the same rules one unit at a time.
     """
-    beta, a, b, c, d = left
+    beta = left[0]
+    exps = list(left[1:])
     s_sh = 0
     r_sh = 0
     type_one = family.gamma_is_alpha_inverse
-
-    rb, ra2 = right[0], right[2]
-    units = []
-    if right[1]:
-        units.append((0, _sgn(right[1]), abs(right[1])))
-    if ra2:
-        units.append((1, _sgn(ra2), abs(ra2)))
-    if rb:
-        units.append(("beta", rb, 1))
-    if right[3]:
-        units.append((2, _sgn(right[3]), abs(right[3])))
-    if right[4]:
-        units.append((3, _sgn(right[4]), abs(right[4])))
-
-    for kind, sign, count in units:
-        if kind == "beta":
+    for slot in (1, 2, 0, 3, 4):
+        e = right[slot]
+        if not e:
+            continue
+        if slot == 0:
             if beta:
                 raise BetaDegreeExceeded("product carries two b generators")
-            if c or d:
+            if exps[2] or exps[3]:
                 raise NonReducible(
-                    "g generators left of b%d admit no relation" % sign)
-            k = sign
-            for _ in range(abs(b)):
-                ds, dr = _BPUSH[(2, k)]
-                s_sh += ds * _sgn(b)
-                r_sh += dr * _sgn(b)
-            for _ in range(abs(a)):
-                ds, dr = _BPUSH[(1, k)]
-                s_sh += ds * _sgn(a)
-                r_sh += dr * _sgn(a)
-            beta, a, b, c, d = k, 0, 0, a, b
+                    "g generators left of b%d admit no relation" % e)
+            (s1, r1), (s2, r2) = _BPUSH[(1, e)], _BPUSH[(2, e)]
+            s_sh += exps[0] * s1 + exps[1] * s2
+            r_sh += exps[0] * r1 + exps[1] * r2
+            beta, exps = e, [0, 0, exps[0], exps[1]]
             continue
-        for _ in range(count):
-            idx, sg = kind, sign
-            if type_one:
-                if beta == 0 and idx >= 2:
-                    idx, sg = idx - 2, -sg
-                elif beta != 0 and idx < 2:
-                    idx, sg = idx + 2, -sg
-            if idx == 0:
-                for _ in range(abs(d)):
-                    s_sh += -2 * _E[0][3] * sg * _sgn(d)
-                if beta:
-                    raise NonReducible(
-                        "a1 right of b%d admits no relation" % beta)
-                for _ in range(abs(b)):
-                    s_sh += -2 * _E[0][1] * sg * _sgn(b)
-                a += sg
-            elif idx == 1:
-                for _ in range(abs(c)):
-                    s_sh += -2 * _E[1][2] * sg * _sgn(c)
-                if beta:
-                    raise NonReducible(
-                        "a2 right of b%d admits no relation" % beta)
-                b += sg
-            elif idx == 2:
-                for _ in range(abs(d)):
-                    s_sh += -2 * _E[2][3] * sg * _sgn(d)
-                c += sg
-            else:
-                d += sg
-
-    return (beta, a, b, c, d), s_sh, r_sh
+        x = slot - 1
+        if type_one and (x >= 2) == (beta == 0):
+            # Type I: g_i = a_i^-1, so g^e before any b is a^-e and a^e
+            # after a b is g^-e
+            x, e = x ^ 2, -e
+        if x < 2 and beta:
+            raise NonReducible(
+                "a%d right of b%d admits no relation" % (x + 1, beta))
+        for y in range(x + 1, 4):
+            s_sh -= 2 * e * _E[x][y] * exps[y]
+        exps[x] += e
+    return (beta, *exps), s_sh, r_sh
 
 
 class Element(SparseSum):

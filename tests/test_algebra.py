@@ -94,7 +94,7 @@ def test_stuck_shapes_raise():
     assert generator("g1", 1, TYPE_I) * generator("b1", 1, TYPE_I)
 
 
-def _random_word(rng, max_len=5):
+def _random_word(rng, max_len=5, exponents=(-2, -1, 1, 2)):
     word = []
     used_corner = False
     for _ in range(rng.randint(1, max_len)):
@@ -107,7 +107,7 @@ def _random_word(rng, max_len=5):
         if name.startswith("b"):
             word.append((name, 1))
         else:
-            word.append((name, rng.choice((-2, -1, 1, 2))))
+            word.append((name, rng.choice(exponents)))
     return word
 
 
@@ -135,20 +135,31 @@ def test_oracle_agreement_500_admissible_words():
     assert kernel_only_errors < admissible
 
 
-def test_oracle_agreement_on_products_of_words():
-    rng = random.Random(99)
+def _check_products_against_oracle(seed, count, exponents=(-2, -1, 1, 2)):
+    rng = random.Random(seed)
     checked = 0
-    while checked < 120:
+    while checked < count:
         family = rng.choice(FAMILIES)
-        w1, w2 = _random_word(rng, 3), _random_word(rng, 3)
+        w1 = _random_word(rng, 3, exponents)
+        w2 = _random_word(rng, 3, exponents)
         try:
             x = _word_element(w1, family)
             y = _word_element(w2, family)
             product = x * y
         except (NonReducible, BetaDegreeExceeded):
             continue
-        assert oracle_reduce(w1 + w2, family) == product
+        assert oracle_reduce(w1 + w2, family) == product, (family, w1, w2)
         checked += 1
+
+
+def test_oracle_agreement_on_products_of_words():
+    _check_products_against_oracle(99, 120)
+
+
+def test_oracle_agreement_on_large_exponent_products():
+    # the kernel moves whole exponent blocks; the oracle moves single units
+    _check_products_against_oracle(
+        50, 40, [e for e in range(-50, 51) if e])
 
 
 def test_associativity_500_triples():

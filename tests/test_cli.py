@@ -5,7 +5,9 @@ import json
 import subprocess
 import sys
 
+from qmpairs import cli
 from qmpairs.cli import main, collect_reports, suites_for
+from qmpairs.mq2 import QGElement
 
 SCHEMA_KEYS = {"suite", "family", "params", "relation", "status",
                "expected", "lhs", "rhs"}
@@ -43,9 +45,20 @@ def test_reduce_engine_error_exits_1(capsys):
     assert "BetaDegreeExceeded" in capsys.readouterr().err
 
 
-def test_reduce_recursion_error_exits_1(capsys):
-    # the background word reduction recurses once per letter swap
+def test_reduce_deep_background_word_exits_0():
     code, out = _run(["reduce", "--type", "mq2", "d^40 * a^40"])
+    assert code == 0
+    product = QGElement.generator("d", 40) * QGElement.generator("a", 40)
+    assert len(product.terms) == 41
+    assert out == product.text() + "\n"
+
+
+def test_reduce_recursion_error_exits_1(capsys, monkeypatch):
+    def too_deep(src):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "parse_background", too_deep)
+    code, out = _run(["reduce", "--type", "mq2", "d * a"])
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
     assert err.startswith("error: RecursionError: ")

@@ -125,6 +125,32 @@ def test_reduce_word_strategies_agree():
         assert reduce_word(word, "leftmost") == reduce_word(word, "rightmost")
 
 
+def _letters(block):
+    return sum(((letter,) * exp for letter, exp in enumerate(block)), ())
+
+
+def test_block_products_match_word_reduction():
+    """The block rules against the letter-by-letter oracle, Di-free."""
+    rng = random.Random(41)
+
+    def block():
+        return tuple(rng.randint(0, 3) for _ in range(4))
+
+    def monomial(unprimed, primed):
+        return QGElement({unprimed + (0,) + primed + (0,): 1})
+
+    zero = (0, 0, 0, 0)
+    cases = [(block(), block(), zero, zero) for _ in range(200)]
+    cases += [(block(), block(), block(), block()) for _ in range(8)]
+    for x, y, xp, yp in cases:
+        plain = reduce_word(_letters(x) + _letters(y))
+        primed = reduce_word(_letters(xp) + _letters(yp))
+        expected = {u + (0,) + p + (0,): uc * pc
+                    for u, uc in plain.items() for p, pc in primed.items()}
+        assert (monomial(x, xp) * monomial(y, yp)).terms == expected, \
+            (x, y, xp, yp)
+
+
 def test_element_associativity_sample():
     rng = random.Random(31)
     names = ("a", "b", "c", "d", "Di", "a'", "c'")
