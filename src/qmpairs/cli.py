@@ -28,6 +28,11 @@ SUITES = ("prop1", "prop2", "prop3", "theorem1", "theorem2", "theorem3",
           "mq2", "all")
 
 
+# one encoder for every report line; json.dumps(..., sort_keys=True) would
+# build a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class UsageError(ValueError):
     """Command combination outside the contract; maps to exit 2."""
 
@@ -71,11 +76,11 @@ def suites_for(family_token):
 
 
 def _report_json(report):
-    return json.dumps({
+    return _ENCODER.encode({
         "suite": report.suite, "family": report.family,
         "params": report.params, "relation": report.relation,
         "status": report.status, "expected": report.expected,
-        "lhs": report.lhs, "rhs": report.rhs}, sort_keys=True)
+        "lhs": report.lhs, "rhs": report.rhs})
 
 
 def _report_text(report):

@@ -23,7 +23,7 @@ class NonUnitScalar(ValueError):
 class QPair:
     """Two triangular matrices over a shared relation family."""
 
-    __slots__ = ("u1", "u2", "_pows")
+    __slots__ = ("u1", "u2", "_pows", "_members")
 
     def __init__(self, u1, u2):
         if u1.family is not u2.family:
@@ -32,6 +32,7 @@ class QPair:
         self.u2 = u2
         self._pows = ({0: UTMatrix.identity(u1.family)},
                       {0: UTMatrix.identity(u1.family)})
+        self._members = {}
 
     @property
     def family(self):
@@ -82,15 +83,56 @@ def family_internal_parameters(family, n=1):
     return None, r_pow(n)
 
 
+def _commutation_products(m1, m2):
+    """The eight entry products of m1*m2 and m2*m1, each reduced once, in
+    the order UTMatrix.__mul__ reduces them: a1a2, a1b2, b1c2, c1c2, then
+    a2a1, a2b1, b2c1, c2c1."""
+    a1, b1, c1 = m1.a11, m1.a12, m1.a22
+    a2, b2, c2 = m2.a11, m2.a12, m2.a22
+    return (a1 * a2, a1 * b2, b1 * c2, c1 * c2,
+            a2 * a1, a2 * b1, b2 * c1, c2 * c1)
+
+
+def _q_commutation(products, half_q_exponent, suite, family, params,
+                   expected=False):
+    """M*N = (a1a2, a1b2 + b1c2; 0, c1c2) against
+    Q*N*M = Q*(a2a1, a2b1 + b2c1; 0, c2c1), from the eight products."""
+    a1a2, a1b2, b1c2, c1c2, a2a1, a2b1, b2c1, c2c1 = products
+    return compare(UTMatrix(a1a2, a1b2 + b1c2, c1c2),
+                   UTMatrix(a2a1, a2b1 + b2c1, c2c1).scale(
+                       q_pow(half_q_exponent)),
+                   suite, family, params,
+                   "M*N = s^%d * N*M" % half_q_exponent, expected)
+
+
+def _mutual(products, u1, u2, half_q_exponent, suite, family, params,
+            expected=False):
+    """Reports for the six mutual relations of (u1, u2), from the eight
+    q-commutation products and the four diagonal cross products a1c2, c2a1,
+    a2c1, c1a2, which are reduced here."""
+    a1a2, a1b2, b1c2, c1c2, a2a1, a2b1, b2c1, c2c1 = products
+    a1, c1, a2, c2 = u1.a11, u1.a22, u2.a11, u2.a22
+    Q = q_pow(half_q_exponent)
+    Qinv = q_pow(-half_q_exponent)
+    sub = "Q=s^%d" % half_q_exponent
+    checks = [
+        ("A1*A2 = Q*A2*A1 [%s]" % sub, a1a2, a2a1.scale(Q)),
+        ("A1*C2 = Q^-1*C2*A1 [%s]" % sub, a1 * c2, (c2 * a1).scale(Qinv)),
+        ("A2*C1 = Q*C1*A2 [%s]" % sub, a2 * c1, (c1 * a2).scale(Q)),
+        ("C1*C2 = Q*C2*C1 [%s]" % sub, c1c2, c2c1.scale(Q)),
+        ("A1*B2 = Q*B2*C1 [%s]" % sub, a1b2, b2c1.scale(Q)),
+        ("B1*C2 = Q*A2*B1 [%s]" % sub, b1c2, a2b1.scale(Q)),
+    ]
+    return [compare(lhs, rhs, suite, family, params, rel, expected)
+            for rel, lhs, rhs in checks]
+
+
 def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", family=None,
                         params=None, expected=False):
     """Report whether m1 * m2 = q^(half_q_exponent/2) * m2 * m1."""
-    family = family or m1.family.value
-    lhs = m1 * m2
-    rhs = (m2 * m1).scale(q_pow(half_q_exponent))
-    relation = "M*N = s^%d * N*M" % half_q_exponent
-    return [compare(lhs, rhs, suite, family, params or {}, relation,
-                    expected)]
+    return [_q_commutation(_commutation_products(m1, m2), half_q_exponent,
+                           suite, family or m1.family.value, params or {},
+                           expected)]
 
 
 def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
@@ -124,47 +166,37 @@ def check_mutual(pair, half_q_exponent, suite="adhoc", params=None,
     Q stands for q^(half_q_exponent/2).  The first four lines are the
     diagonal block, the last two couple a corner with the other matrix.
     """
-    family = pair.family.value
     u1, u2 = pair.u1, pair.u2
-    Q = q_pow(half_q_exponent)
-    Qinv = q_pow(-half_q_exponent)
-    sub = "Q=s^%d" % half_q_exponent
-    checks = [
-        ("A1*A2 = Q*A2*A1 [%s]" % sub,
-         u1.a11 * u2.a11, (u2.a11 * u1.a11).scale(Q)),
-        ("A1*C2 = Q^-1*C2*A1 [%s]" % sub,
-         u1.a11 * u2.a22, (u2.a22 * u1.a11).scale(Qinv)),
-        ("A2*C1 = Q*C1*A2 [%s]" % sub,
-         u2.a11 * u1.a22, (u1.a22 * u2.a11).scale(Q)),
-        ("C1*C2 = Q*C2*C1 [%s]" % sub,
-         u1.a22 * u2.a22, (u2.a22 * u1.a22).scale(Q)),
-        ("A1*B2 = Q*B2*C1 [%s]" % sub,
-         u1.a11 * u2.a12, (u2.a12 * u1.a22).scale(Q)),
-        ("B1*C2 = Q*A2*B1 [%s]" % sub,
-         u1.a12 * u2.a22, (u2.a11 * u1.a12).scale(Q)),
-    ]
-    return [compare(lhs, rhs, suite, family, params or {}, rel, expected)
-            for rel, lhs, rhs in checks]
+    return _mutual(_commutation_products(u1, u2), u1, u2, half_q_exponent,
+                   suite, pair.family.value, params or {}, expected)
+
+
+def _member(pair, n, m):
+    """U1^n U2^m, scaled by q^(-nm/2) under Type I, built once per (n, m)."""
+    member = pair._members.get((n, m))
+    if member is None:
+        member = pair.u1_pow(n) * pair.u2_pow(m)
+        if pair.family is TYPE_I:
+            member = member.scale(q_pow(-n * m))
+        pair._members[(n, m)] = member
+    return member
 
 
 def make_product_pair(pair, n, m, s, t):
     """The derived pair (U1^n U2^m, U1^s U2^t), with Type I prefactors.
 
     Type I members are scaled by q^(-nm/2) and q^(-st/2) so their diagonal
-    products reduce to exactly 1.  Type III only admits the diagonal
-    pattern (n, 0, 0, n); anything else raises UnsupportedTransform.
+    products reduce to exactly 1.  Each member is built once per pair and
+    (n, m) and then read from the pair's member cache, so a grid of
+    quadruples does (2R+1)^2 member products, not (2R+1)^4.  Type III only
+    admits the diagonal pattern (n, 0, 0, n); anything else raises
+    UnsupportedTransform.
     """
-    family = pair.family
-    if family is TYPE_III and not (m == 0 and s == 0 and t == n):
+    if pair.family is TYPE_III and not (m == 0 and s == 0 and t == n):
         raise UnsupportedTransform(
             "Type III only transforms along (n, 0, 0, n), got (%d, %d, %d, %d)"
             % (n, m, s, t))
-    v1 = pair.u1_pow(n) * pair.u2_pow(m)
-    v2 = pair.u1_pow(s) * pair.u2_pow(t)
-    if family is TYPE_I:
-        v1 = v1.scale(q_pow(-n * m))
-        v2 = v2.scale(q_pow(-s * t))
-    return QPair(v1, v2)
+    return QPair(_member(pair, n, m), _member(pair, s, t))
 
 
 def rescale_pair(pair, c1, c2):
@@ -181,18 +213,19 @@ def rescale_pair(pair, c1, c2):
 
 
 def verify_pair(pair, half_q_exponent=2, power=1, suite="pair", params=None):
-    """The full family suite for one pair: mutual, internal, q-commutation."""
+    """The full family suite for one pair: q-commutation, internal, mutual."""
     central, nd = family_internal_parameters(pair.family, power)
+    family = pair.family.value
     params = params or {}
-    out = []
-    out += check_q_commutation(pair.u1, pair.u2, half_q_exponent, suite,
-                               pair.family.value, params)
-    out += check_internal(pair.u1, central, nd, suite, pair.family.value,
-                          params, tag="U1: ")
-    out += check_internal(pair.u2, central, nd, suite, pair.family.value,
-                          params, tag="U2: ")
-    out += check_mutual(pair, half_q_exponent, suite, params)
-    return out
+    u1, u2 = pair.u1, pair.u2
+    products = _commutation_products(u1, u2)
+    return ([_q_commutation(products, half_q_exponent, suite, family, params)]
+            + check_internal(pair.u1, central, nd, suite, family, params,
+                             tag="U1: ")
+            + check_internal(pair.u2, central, nd, suite, family, params,
+                             tag="U2: ")
+            + _mutual(products, u1, u2, half_q_exponent, suite, family,
+                      params))
 
 
 # Diagonal generator pairs and the q-exponent of X Y = q^e Y X.
@@ -335,9 +368,20 @@ def verify_theorem2(family, power_range, suite="theorem2"):
     q^(nt - ms); Type I members carry prefactors that restore the unit
     diagonal product; Type III transforms along (n, 0, 0, n) only, with
     internal parameter r^n.
+
+    A member and its internal relations depend on its own exponents only,
+    so each member is built once (see make_product_pair) and its internal
+    checks run once per member, tag and internal parameters; later
+    quadruples receive copies of those reports under their own params.
+    Per quadruple the run reduces the eight entry products of M*N and N*M
+    once; the q-commutation sides are built from them, and the mutual
+    relations reuse them and add the four diagonal cross products.
+    Reports keep the per-quadruple order: q-commutation, V1 internal, V2
+    internal, mutual.
     """
     pair = generator_pair(family)
     out = []
+    internal = {}
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
         quads = [(n, 0, 0, n) for n in rng]
@@ -349,11 +393,17 @@ def verify_theorem2(family, power_range, suite="theorem2"):
         half = 2 * (n * t - m * s)
         params = {"n": n, "m": m, "s": s, "t": t}
         central, nd = family_internal_parameters(family, n)
-        out += check_q_commutation(derived.u1, derived.u2, half, suite,
-                                   family.value, params)
-        out += check_internal(derived.u1, central, nd, suite, family.value,
-                              params, tag="V1: ")
-        out += check_internal(derived.u2, central, nd, suite, family.value,
-                              params, tag="V2: ")
-        out += check_mutual(derived, half, suite, params)
+        v1, v2 = derived.u1, derived.u2
+        products = _commutation_products(v1, v2)
+        out.append(_q_commutation(products, half, suite, family.value, params))
+        for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
+            key = (tag, exps, central, nd)
+            reports = internal.get(key)
+            if reports is None:
+                reports = internal[key] = check_internal(
+                    member, central, nd, suite, family.value, params, tag=tag)
+                out += reports
+            else:
+                out += [report.with_params(params) for report in reports]
+        out += _mutual(products, v1, v2, half, suite, family.value, params)
     return out

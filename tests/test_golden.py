@@ -1,8 +1,10 @@
-"""Golden outputs: `verify --suite all` JSON bytes for each family.
+"""Golden outputs: `verify` JSON bytes that a change must keep.
 
 A refactor or speedup must leave these bytes unchanged.  The hashes were
-recorded from the initial engine and cover every suite of
-`--suite all` at the default range.
+recorded from the initial engine.  They cover every suite of
+`--suite all` at the default range for each family, and the Type I
+`theorem2` grid at range 3, where members and their internal checks are
+reused across quadruples.
 """
 
 import hashlib
@@ -18,12 +20,25 @@ GOLDEN_SHA256 = {
     "III": "91f842bea3eef844c6431aec1c650592869e735a24b34d1dc1d08426a995bc27",
 }
 
+THEOREM2_I_RANGE3_SHA256 = (
+    "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5")
+
+
+def _json_digest(argv):
+    out = io.StringIO()
+    code = main(argv, out=out)
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_SHA256))
 def test_verify_all_json_matches_golden_hash(family):
-    out = io.StringIO()
-    code = main(["verify", "--suite", "all", "--type", family,
-                 "--format", "json"], out=out)
-    assert code == 0
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    digest = _json_digest(["verify", "--suite", "all", "--type", family,
+                           "--format", "json"])
     assert digest == GOLDEN_SHA256[family]
+
+
+def test_verify_theorem2_range3_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "I",
+                           "--range", "3", "--format", "json"])
+    assert digest == THEOREM2_I_RANGE3_SHA256

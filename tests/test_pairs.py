@@ -3,14 +3,18 @@
 import pytest
 
 from qmpairs.scalars import LaurentScalar, q_pow, r_pow
-from qmpairs.algebra import TYPE_I, TYPE_II, TYPE_III, Element
-from qmpairs.matrices import closed_power
+from qmpairs.algebra import (
+    TYPE_I, TYPE_II, TYPE_III, Element, NonReducible, generator,
+)
+from qmpairs.matrices import UTMatrix, closed_power, generator_matrix
 from qmpairs.pairs import (
     QPair, RelationReport, generator_pair, check_q_commutation,
     check_internal, check_mutual, make_product_pair, rescale_pair,
     verify_pair, verify_prop1, verify_prop2, verify_prop3,
-    verify_theorem1, verify_theorem2, NonUnitScalar, UnsupportedTransform,
+    verify_theorem1, verify_theorem2, family_internal_parameters,
+    NonUnitScalar, UnsupportedTransform,
 )
+from qmpairs.reports import compare
 
 FAMILIES = (TYPE_I, TYPE_II, TYPE_III)
 
@@ -69,6 +73,46 @@ def test_theorem2_small_grids():
         assert not _bad(verify_theorem2(fam, 2))
 
 
+def _theorem2_reference(family, power_range):
+    """Theorem 2 with no reuse: each quadruple rebuilds both members from
+    repeated generator products and reduces M*N and N*M as whole matrix
+    products, then runs the internal and mutual checks."""
+    rng = range(-power_range, power_range + 1)
+    if family is TYPE_III:
+        quads = [(n, 0, 0, n) for n in rng]
+    else:
+        quads = [(n, m, s, t) for n in rng for m in rng
+                 for s in rng for t in rng]
+    out = []
+    for n, m, s, t in quads:
+        members = []
+        for i, j in ((n, m), (s, t)):
+            member = (generator_matrix(1, family).pow(i)
+                      * generator_matrix(2, family).pow(j))
+            if family is TYPE_I:
+                member = member.scale(q_pow(-i * j))
+            members.append(member)
+        v1, v2 = members
+        half = 2 * (n * t - m * s)
+        params = {"n": n, "m": m, "s": s, "t": t}
+        central, nd = family_internal_parameters(family, n)
+        out.append(compare(v1 * v2, (v2 * v1).scale(q_pow(half)),
+                           "theorem2", family.value, params,
+                           "M*N = s^%d * N*M" % half))
+        out += check_internal(v1, central, nd, "theorem2", family.value,
+                              params, tag="V1: ")
+        out += check_internal(v2, central, nd, "theorem2", family.value,
+                              params, tag="V2: ")
+        out += check_mutual(QPair(v1, v2), half, "theorem2", params)
+    return out
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
+def test_theorem2_matches_reference_without_reuse(fam):
+    # verify_theorem2 reuses members, internal checks and entry products
+    assert verify_theorem2(fam, 2) == _theorem2_reference(fam, 2)
+
+
 def test_product_pair_prefactor_restores_unit_diagonal():
     pair = generator_pair(TYPE_I)
     derived = make_product_pair(pair, 2, -3, 1, 2)
@@ -85,7 +129,25 @@ def test_product_pair_q_exponent():
     half = 2 * (n * t - m * s)
     assert not _bad(check_q_commutation(derived.u1, derived.u2, half))
     assert _bad(check_q_commutation(derived.u1, derived.u2, half + 2))
+    # a violation shows both sides as whole matrix products
+    report, = check_q_commutation(derived.u1, derived.u2, half + 2)
+    assert report.lhs == (derived.u1 * derived.u2).text()
+    assert report.rhs == \
+        (derived.u2 * derived.u1).scale(q_pow(half + 2)).text()
 
+
+
+def test_q_commutation_reduces_only_its_own_products():
+    # M*N and N*M need eight entry products; the mutual relations add
+    # c1*a2 = b1*a1, which has no reduction under Type II
+    one, zero = Element.one(TYPE_II), Element.zero(TYPE_II)
+    m1 = UTMatrix(one, generator("a2", 1, TYPE_II), generator("b1", 1, TYPE_II))
+    m2 = UTMatrix(generator("a1", 1, TYPE_II), zero, one)
+    report, = check_q_commutation(m1, m2, 0)
+    assert report.lhs == (m1 * m2).text()
+    assert report.rhs == (m2 * m1).text()
+    with pytest.raises(NonReducible):
+        check_mutual(QPair(m1, m2), 0)
 
 def test_diagonal_transform_keeps_r_parameter():
     pair = generator_pair(TYPE_III)
