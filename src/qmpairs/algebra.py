@@ -35,7 +35,7 @@ tested against.
 
 import enum
 
-from .scalars import LaurentScalar, SparseSum, term_text
+from .scalars import LaurentScalar, SparseSum, power, term_text
 
 ONE = LaurentScalar.one()
 
@@ -256,12 +256,8 @@ class Element(SparseSum):
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return invert_element(self) ** (-n)
-        result = Element.one(self.family)
-        for _ in range(n):
-            result = result * self
-        return result
+        base = invert_element(self) if n < 0 else self
+        return power(Element.one(self.family), base, abs(n))
 
     def __eq__(self, other):
         if not isinstance(other, Element):

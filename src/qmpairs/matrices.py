@@ -4,11 +4,12 @@ A matrix is (a11, a12; 0, a22) with Element entries.  The two generator
 matrices U1 = (a1, b1; 0, g1) and U2 = (a2, b2; 0, g2) and their inverses
 generate everything the verification suites need.  Closed forms for
 powers and for the product U1^n * U2^m are built from quantum integers
-and generator powers; pow() builds the same matrices by repeated
-multiplication so the two constructions can be compared.
+and generator powers; pow() builds the same matrices as n-fold products,
+formed in scalars.power like every power in the engine, so the two
+constructions can be compared.
 """
 
-from .scalars import LaurentScalar, quantum_integer
+from .scalars import LaurentScalar, power, quantum_integer
 from .algebra import Element, generator, invert_element
 
 
@@ -58,13 +59,10 @@ class UTMatrix:
         return UTMatrix(top, -(top * self.a12 * bot), bot)
 
     def pow(self, n):
-        """Integer power by repeated multiplication; negative n inverts first."""
-        if n < 0:
-            return self.inverse().pow(-n)
-        result = UTMatrix.identity(self.family)
-        for _ in range(n):
-            result = result * self
-        return result
+        """Integer power as an n-fold product (scalars.power); negative n
+        multiplies the inverse."""
+        base = self.inverse() if n < 0 else self
+        return power(UTMatrix.identity(self.family), base, abs(n))
 
     def __eq__(self, other):
         if not isinstance(other, UTMatrix):

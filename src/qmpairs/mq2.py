@@ -20,7 +20,7 @@ rules one adjacent swap at a time and is the independent oracle.
 import operator
 from functools import lru_cache
 
-from .scalars import LaurentScalar, SparseSum, term_text, q_pow, ONE
+from .scalars import LaurentScalar, SparseSum, term_text, q_pow, power, ONE
 from .reports import RelationReport, HOLDS, VIOLATED, compare
 
 MQ2 = "mq2"
@@ -228,10 +228,7 @@ class QGElement(SparseSum):
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers need an explicit inverse")
-        out = QGElement.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(QGElement.one(), self, n)
 
     def __eq__(self, other):
         if not isinstance(other, QGElement):
@@ -318,15 +315,13 @@ fm_mul = operator.mul
 
 
 def fm_pow(matrix, n, inverse=None):
-    """matrix^n by repeated multiplication; n < 0 multiplies the inverse."""
+    """matrix^n as an n-fold product (scalars.power); n < 0 multiplies the
+    inverse."""
     if n < 0:
         if inverse is None:
             raise ValueError("negative power without an inverse matrix")
         matrix, n = inverse, -n
-    out = FullMatrix.identity()
-    for _ in range(n):
-        out = out * matrix
-    return out
+    return power(FullMatrix.identity(), matrix, n)
 
 
 def quantum_determinant(matrix):
@@ -335,10 +330,7 @@ def quantum_determinant(matrix):
 
 
 def quantum_determinant_element(primed=False):
-    gen = QGElement.generator
-    suffix = "'" if primed else ""
-    return (gen("a" + suffix) * gen("d" + suffix)
-            - (gen("b" + suffix) * gen("c" + suffix)).scale(q_pow(2)))
+    return quantum_determinant(generator_full_matrix(primed))
 
 
 def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
@@ -387,15 +379,10 @@ def verify_results(n_range, suite=MQ2):
     out.append(compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I"))
     up = generator_full_matrix(primed=True)
     upinv = qg_inverse_matrix(primed=True)
-    pow_cache = {0: identity}
-    ppow_cache = {0: identity}
-    for cache, base, inv in ((pow_cache, u, uinv), (ppow_cache, up, upinv)):
-        for n in range(1, n_range + 1):
-            cache[n] = cache[n - 1] * base
-            cache[-n] = cache[-(n - 1)] * inv
     for n in range(-n_range, n_range + 1):
-        out += check_R(pow_cache[n], 2 * n, suite, {"n": n}, tag="U^n: ")
-        mixed = pow_cache[n] * ppow_cache[n]
+        un = fm_pow(u, n, uinv)
+        out += check_R(un, 2 * n, suite, {"n": n}, tag="U^n: ")
+        mixed = un * fm_pow(up, n, upinv)
         out += check_R(mixed, 2 * n, suite, {"n": n}, tag="U^n*U'^n: ")
     return out
 

@@ -23,45 +23,24 @@ class NonUnitScalar(ValueError):
 class QPair:
     """Two triangular matrices over a shared relation family."""
 
-    __slots__ = ("u1", "u2", "_pows", "_members")
+    __slots__ = ("u1", "u2", "_members")
 
     def __init__(self, u1, u2):
         if u1.family is not u2.family:
             raise ValueError("pair members belong to different families")
         self.u1 = u1
         self.u2 = u2
-        self._pows = ({0: UTMatrix.identity(u1.family)},
-                      {0: UTMatrix.identity(u1.family)})
         self._members = {}
 
     @property
     def family(self):
         return self.u1.family
 
-    def _pow(self, which, n):
-        """Member power n, extending the cache from the nearest cached
-        exponent of the same sign one factor at a time."""
-        cache = self._pows[which]
-        if n not in cache:
-            step = 1 if n > 0 else -1
-            factor = self.u1 if which == 0 else self.u2
-            if step < 0:
-                if -1 not in cache:
-                    cache[-1] = factor.inverse()
-                factor = cache[-1]
-            k = n
-            while k not in cache:
-                k -= step
-            while k != n:
-                cache[k + step] = cache[k] * factor
-                k += step
-        return cache[n]
-
     def u1_pow(self, n):
-        return self._pow(0, n)
+        return self.u1.pow(n)
 
     def u2_pow(self, n):
-        return self._pow(1, n)
+        return self.u2.pow(n)
 
 
 def generator_pair(family):
@@ -248,16 +227,12 @@ _BETA_SWAPS = (
 )
 
 
-def verify_prop1(family, power_range, suite="prop1"):
-    """Power versions of every two-generator relation.
-
-    Checks X^n Y^m = q^(e n m) Y^m X^n for the diagonal pairs and
-    a_i^n b_j = f^n b_j g_i^n for the mixed pairs, all exponents in
-    [-power_range, power_range].
-    """
+def _diagonal_swaps(family, swaps, power_range, suite):
+    """Reports for X^n Y^m = q^(e n m) Y^m X^n, for each (X, Y, e) in
+    swaps and all exponents in [-power_range, power_range]."""
     out = []
     rng = range(-power_range, power_range + 1)
-    for x, y, e in _DIAG_SWAPS:
+    for x, y, e in swaps:
         for n in rng:
             xs = generator(x, n, family)
             for m in rng:
@@ -267,6 +242,18 @@ def verify_prop1(family, power_range, suite="prop1"):
                 out.append(compare(
                     lhs, rhs, suite, family.value, {"n": n, "m": m},
                     "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x)))
+    return out
+
+
+def verify_prop1(family, power_range, suite="prop1"):
+    """Power versions of every two-generator relation.
+
+    Checks X^n Y^m = q^(e n m) Y^m X^n for the diagonal pairs and
+    a_i^n b_j = f^n b_j g_i^n for the mixed pairs, all exponents in
+    [-power_range, power_range].
+    """
+    out = _diagonal_swaps(family, _DIAG_SWAPS, power_range, suite)
+    rng = range(-power_range, power_range + 1)
     for x, y, s_exp, r_exp in _BETA_SWAPS:
         beta = generator(y, 1, family)
         gname = "g" + x[1]
@@ -288,19 +275,9 @@ def verify_prop2(power_range, suite="prop2"):
     three diagonal relations (and their power versions) demonstrates that
     those relations are consequences rather than independent inputs.
     """
-    out = []
-    rng = range(-power_range, power_range + 1)
-    for x, y, e in (("a1", "g2", -1), ("a2", "g1", 1), ("g1", "g2", 1)):
-        for n in rng:
-            xs = generator(x, n, TYPE_I)
-            for m in rng:
-                ys = generator(y, m, TYPE_I)
-                lhs = xs * ys
-                rhs = (ys * xs).scale(q_pow(2 * e * n * m))
-                out.append(compare(
-                    lhs, rhs, suite, TYPE_I.value, {"n": n, "m": m},
-                    "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x)))
-    return out
+    return _diagonal_swaps(
+        TYPE_I, (("a1", "g2", -1), ("a2", "g1", 1), ("g1", "g2", 1)),
+        power_range, suite)
 
 
 def verify_prop3(family, power_range, suite="prop3"):

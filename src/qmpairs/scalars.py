@@ -133,9 +133,6 @@ class LaurentScalar(SparseSum):
     def monomial(cls, coeff, s_exp=0, r_exp=0):
         return cls({(s_exp, r_exp): coeff})
 
-    def is_one(self):
-        return self.terms == {(0, 0): 1}
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentScalar.integer(other)
@@ -168,16 +165,8 @@ class LaurentScalar(SparseSum):
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        result = LaurentScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.monomial_inverse() if n < 0 else self
+        return power(ONE, base, abs(n))
 
     def shift(self, s_exp, r_exp=0):
         """Multiply by the monomial s^s_exp * r^r_exp."""
@@ -212,14 +201,6 @@ class LaurentScalar(SparseSum):
                 del out[key]
         return _wrap(out)
 
-    def as_int(self):
-        """The value of a constant scalar, or None if not constant."""
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and (0, 0) in self.terms:
-            return self.terms[(0, 0)]
-        return None
-
     def _term(self, key, coeff):
         a, b = key
         factors = []
@@ -237,6 +218,19 @@ class LaurentScalar(SparseSum):
 
 ZERO = LaurentScalar.zero()
 ONE = LaurentScalar.one()
+
+
+def power(one, base, n):
+    """base^n for n >= 0 as the n-fold product ((one * base) * base) ...
+
+    The one integer-power loop of the engine: every value type and matrix
+    type forms its powers here, each with its own one and its own handling
+    of negative exponents.
+    """
+    result = one
+    for _ in range(n):
+        result = result * base
+    return result
 
 
 def q_pow(half_exponent):

@@ -226,10 +226,23 @@ def test_pair_power_cache_consistency():
 
 
 def test_pair_power_cache_is_iterative():
-    # far past the default recursion limit, one factor per cache entry
+    # far past the default recursion limit: powers are an iterative loop
     pair = generator_pair(TYPE_I)
     assert pair.u1_pow(1200) == closed_power(1, 1200, TYPE_I)
     assert pair.u1_pow(-1200) == closed_power(1, -1200, TYPE_I)
+
+
+def test_pair_construction_builds_no_matrix(monkeypatch):
+    built = []
+    identity = UTMatrix.identity.__func__
+
+    def counting_identity(cls, family):
+        built.append(family)
+        return identity(cls, family)
+
+    monkeypatch.setattr(UTMatrix, "identity", classmethod(counting_identity))
+    generator_pair(TYPE_I)
+    assert built == []
 
 
 def test_pair_requires_single_family():

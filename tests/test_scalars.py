@@ -79,6 +79,12 @@ def test_power_and_monomial_inverse():
     assert x ** 0 == ONE
     assert x ** 3 == x * x * x
     unit = LaurentScalar.monomial(-1, 3, -2)
+    for n in range(7):
+        for s_val, r_val in _POINTS:
+            assert _evaluate(x ** n, s_val, r_val) == \
+                _evaluate(x, s_val, r_val) ** n
+            assert _evaluate(unit ** -n, s_val, r_val) == \
+                _evaluate(unit, s_val, r_val) ** -n
     assert unit.is_unit_monomial()
     assert unit * unit.monomial_inverse() == ONE
     assert unit ** -2 == (unit.monomial_inverse()) ** 2
