@@ -158,6 +158,12 @@ _GENERATOR_MONOS = {
 _MONO_NAMES = ("a", "b", "c", "d", "Di", "a'", "b'", "c'", "d'", "Di'")
 
 
+def _wrap_element(clean_terms):
+    out = object.__new__(QGElement)
+    out.terms = clean_terms
+    return out
+
+
 class QGElement(SparseSum):
     """Linear combination of normal-form monomials."""
 
@@ -170,10 +176,7 @@ class QGElement(SparseSum):
             if coeff:
                 self.terms[mono] = coeff
 
-    def _like(self, terms):
-        out = object.__new__(QGElement)
-        out.terms = terms
-        return out
+    _like = staticmethod(_wrap_element)
 
     def _operand(self, other):
         return other if isinstance(other, QGElement) else None
@@ -338,24 +341,81 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
     """The six defining relations among the entries, at Q = s^half.
 
     For the generator matrix and half = 2 these are the rules themselves;
-    powers of the generator satisfy them with the exponent scaled.
+    powers of the generator satisfy them with the exponent scaled.  Each
+    entry product is the reduced product of two entries of the matrix.
     """
+    entries = matrix.entries()
+    return _check_relations(lambda x, y: entries[x] * entries[y],
+                            half_q_exponent, suite, params, expected, tag)
+
+
+def _check_relations(product, half, suite, params, expected, tag):
+    """check_R's relations, with product(x, y) the reduced product of the
+    entries x and y, indexed 0..3 for M11, M12, M21, M22."""
     params = params or {}
-    A, B, C, D = matrix.e11, matrix.e12, matrix.e21, matrix.e22
-    Q = q_pow(half_q_exponent)
-    gap = Q - q_pow(-half_q_exponent)
-    sub = "Q=s^%d" % half_q_exponent
+    Q = q_pow(half)
+    gap = Q - q_pow(-half)
+    sub = "Q=s^%d" % half
+    bc = product(1, 2)
     checks = [
-        ("M11*M12 = Q*M12*M11 [%s]" % sub, A * B, (B * A).scale(Q)),
-        ("M11*M21 = Q*M21*M11 [%s]" % sub, A * C, (C * A).scale(Q)),
-        ("M12*M21 = M21*M12", B * C, C * B),
-        ("M12*M22 = Q*M22*M12 [%s]" % sub, B * D, (D * B).scale(Q)),
-        ("M21*M22 = Q*M22*M21 [%s]" % sub, C * D, (D * C).scale(Q)),
+        ("M11*M12 = Q*M12*M11 [%s]" % sub, product(0, 1),
+         product(1, 0).scale(Q)),
+        ("M11*M21 = Q*M21*M11 [%s]" % sub, product(0, 2),
+         product(2, 0).scale(Q)),
+        ("M12*M21 = M21*M12", bc, product(2, 1)),
+        ("M12*M22 = Q*M22*M12 [%s]" % sub, product(1, 3),
+         product(3, 1).scale(Q)),
+        ("M21*M22 = Q*M22*M21 [%s]" % sub, product(2, 3),
+         product(3, 2).scale(Q)),
         ("M11*M22 - M22*M11 = (Q-Q^-1)*M12*M21 [%s]" % sub,
-         A * D - D * A, (B * C).scale(gap)),
+         product(0, 3) - product(3, 0), bc.scale(gap)),
     ]
     return [compare(lhs, rhs, suite, MQ2, params, tag + rel, expected)
             for rel, lhs, rhs in checks]
+
+
+def _entry_products(matrix):
+    """The 16 reduced products of two entries, keyed (x, y) as in
+    _check_relations."""
+    entries = matrix.entries()
+    return {(x, y): entries[x] * entries[y]
+            for x in range(4) for y in range(4)}
+
+
+def _coproduct_products(products):
+    """product(x, y) over the entries of M = X X', for _check_relations.
+
+    X has unprimed entries only, as U^n, and products is its
+    _entry_products table.  X' is X with every letter primed, as U'^n,
+    and the primed letters obey the same relations, so X'_aj X'_bl is
+    X_aj X_bl with its blocks in the primed slots.  M_ij = sum_a X_ia X'_aj,
+    and since primed letters commute with unprimed ones,
+
+        M_ij M_kl = sum_(a,b) (X_ia X_kb) (X'_aj X'_bl),
+
+    where the normal form of an unprimed-only times a primed-only
+    monomial is the two blocks side by side.  This is the statement that
+    the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map, and it
+    is exact: the result is the same reduced element as the direct
+    product of the two big entries.  The join only concatenates blocks
+    and multiplies coefficients.
+    """
+    blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
+              for key, value in products.items()}
+
+    def product(x, y):
+        i, j = divmod(x, 2)
+        k, l = divmod(y, 2)
+        out = {}
+        for a in (0, 1):
+            for b in (0, 1):
+                right = blocks[2 * a + j, 2 * b + l]
+                for block, coeff in blocks[2 * i + a, 2 * k + b]:
+                    for pblock, pcoeff in right:
+                        _accumulate(out, block + pblock, coeff * pcoeff)
+        return _wrap_element(out)
+
+    return product
 
 
 def verify_results(n_range, suite=MQ2):
@@ -364,7 +424,13 @@ def verify_results(n_range, suite=MQ2):
     For every |n| <= n_range the entries of U^n satisfy the defining
     relations at parameter q^n, and so do the entries of U^n U'^n.
     Centrality of the quantum determinant and exactness of the displayed
-    inverse are checked alongside.
+    inverse are checked alongside.  The products of two entries of U^n
+    are reduced once per n and serve both rows: the U^n relations read
+    them directly, and the entry products of U^n U'^n are joined from
+    them through the coproduct (_coproduct_products), never formed from
+    the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
+    and primed letters commute with unprimed ones, so the joined products
+    are exactly the direct ones.
     """
     out = []
     dq = quantum_determinant_element()
@@ -377,13 +443,12 @@ def verify_results(n_range, suite=MQ2):
     identity = FullMatrix.identity()
     out.append(compare(u * uinv, identity, suite, MQ2, {}, "U*U^-1 = I"))
     out.append(compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I"))
-    up = generator_full_matrix(primed=True)
-    upinv = qg_inverse_matrix(primed=True)
     for n in range(-n_range, n_range + 1):
-        un = fm_pow(u, n, uinv)
-        out += check_R(un, 2 * n, suite, {"n": n}, tag="U^n: ")
-        mixed = un * fm_pow(up, n, upinv)
-        out += check_R(mixed, 2 * n, suite, {"n": n}, tag="U^n*U'^n: ")
+        products = _entry_products(fm_pow(u, n, uinv))
+        out += _check_relations(lambda x, y: products[x, y], 2 * n, suite,
+                                {"n": n}, False, "U^n: ")
+        out += _check_relations(_coproduct_products(products), 2 * n, suite,
+                                {"n": n}, False, "U^n*U'^n: ")
     return out
 
 

@@ -2,9 +2,10 @@
 
 A refactor or speedup must leave these bytes unchanged.  The hashes were
 recorded from the initial engine.  They cover every suite of
-`--suite all` at the default range for each family, and the Type I
+`--suite all` at the default range for each family, the Type I
 `theorem2` grid at range 3, where members and their internal checks are
-reused across quadruples.
+reused across quadruples, and the background grid at range 4, whose
+mixed rows U^n U'^n with |n| >= 3 are checked through the coproduct.
 """
 
 import hashlib
@@ -22,6 +23,9 @@ GOLDEN_SHA256 = {
 
 THEOREM2_I_RANGE3_SHA256 = (
     "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5")
+
+MQ2_RANGE4_SHA256 = (
+    "5657f937fda132416395fcc8ac3801acf45adb8d8cb6795077b11dace85958f1")
 
 
 def _json_digest(argv):
@@ -42,3 +46,9 @@ def test_verify_theorem2_range3_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "theorem2", "--type", "I",
                            "--range", "3", "--format", "json"])
     assert digest == THEOREM2_I_RANGE3_SHA256
+
+
+def test_verify_mq2_range4_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "mq2", "--range", "4",
+                           "--format", "json"])
+    assert digest == MQ2_RANGE4_SHA256

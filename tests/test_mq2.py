@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from qmpairs.scalars import q_pow
+from qmpairs.scalars import q_pow, ONE
 from qmpairs.mq2 import (
     QGElement, FullMatrix, generator_full_matrix, qg_inverse_matrix,
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
+    _check_relations, _coproduct_products, _entry_products,
 )
 
 gen = QGElement.generator
@@ -149,6 +150,78 @@ def test_block_products_match_word_reduction():
                     for u, uc in plain.items() for p, pc in primed.items()}
         assert (monomial(x, xp) * monomial(y, yp)).terms == expected, \
             (x, y, xp, yp)
+
+
+def test_d_free_block_products_match_word_reduction():
+    """Block products with no d on the left and up to 40 a's on the right.
+
+    The right block may carry d's and both may carry Di's; Di is central,
+    so the oracle is reduce_word on the letters times Di^(m + m').
+    """
+    rng = random.Random(43)
+    cases = [((0, 2, 3, 0, 0), (40, 0, 0, 0, 0)),
+             ((5, 0, 0, 0, 2), (30, 1, 0, 0, 0))]
+    for _ in range(40):
+        x = tuple(rng.randint(0, 3) for _ in range(3)) + (0, rng.randint(0, 2))
+        y = (rng.randint(0, 40),) + tuple(rng.randint(0, 3) for _ in range(4))
+        cases.append((x, y))
+    zero = (0,) * 5
+    for x, y in cases:
+        plain = reduce_word(_letters(x[:4]) + _letters(y[:4]))
+        expected = QGElement({block + (0,) + zero: coeff
+                              for block, coeff in plain.items()})
+        expected = expected * gen("Di", x[4] + y[4])
+        assert QGElement({x + zero: 1}) * QGElement({y + zero: 1}) == \
+            expected, (x, y)
+
+
+def test_d_free_large_exponent_is_one_term():
+    big = gen("a", 10000)
+    assert (big * big).terms == {(20000,) + (0,) * 9: ONE}
+    assert (gen("b") * big).terms == \
+        {(10000, 1) + (0,) * 8: q_pow(-20000)}
+
+
+def _mixed(n):
+    """U^n and U'^n, the factors of the mixed matrix U^n U'^n."""
+    x = fm_pow(generator_full_matrix(), n, qg_inverse_matrix())
+    y = fm_pow(generator_full_matrix(primed=True), n,
+               qg_inverse_matrix(primed=True))
+    return x, y
+
+
+def test_coproduct_products_match_direct_products():
+    """The factored entry products of U^n U'^n against the direct ones.
+
+    The join reads only the products of two U^n entries; U'^n enters
+    through the direct product x * y alone.
+    """
+    for n in range(-3, 4):
+        x, y = _mixed(n)
+        mixed = x * y
+        entries = mixed.entries()
+        product = _coproduct_products(_entry_products(x))
+        for i in range(4):
+            for k in range(4):
+                assert product(i, k) == entries[i] * entries[k], (n, i, k)
+        params = {"n": n}
+        assert _check_relations(product, 2 * n, "mq2", params, False,
+                                "U^n*U'^n: ") == \
+            check_R(mixed, 2 * n, "mq2", params, tag="U^n*U'^n: ")
+
+
+def test_coproduct_violation_text_matches_direct_path():
+    """At a wrong parameter both paths carry the same canonical sides."""
+    for n in (2, -2):
+        x, y = _mixed(n)
+        half = 2 * n + 2
+        factored = _check_relations(_coproduct_products(_entry_products(x)),
+                                    half, "mq2", {"n": n}, False,
+                                    "U^n*U'^n: ")
+        direct = check_R(x * y, half, "mq2", {"n": n}, tag="U^n*U'^n: ")
+        assert factored == direct
+        violated = _bad(factored)
+        assert violated and all(r.lhs and r.rhs for r in violated)
 
 
 def test_element_associativity_sample():
