@@ -233,13 +233,14 @@ class Element(SparseSum):
             return NotImplemented
         self._check_family(other)
         family = self.family
+        # the coefficients of an r = 1 family are r-free, so dropping the r
+        # shift does what canon would do, without an r-bearing intermediate
+        keep_r = not family.r_is_one
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono, s_sh, r_sh = _mono_mul(family, m1, m2)
-                coeff = family.canon((c1 * c2).shift(s_sh, r_sh))
-                if not coeff:
-                    continue
+                coeff = (c1 * c2).shift(s_sh, r_sh if keep_r else 0)
                 prev = out.get(mono)
                 total = prev + coeff if prev is not None else coeff
                 if total:

@@ -38,7 +38,8 @@ _SWAP_FACTOR = {
 
 
 def _accumulate(out, key, coeff):
-    total = out.get(key, 0) + coeff
+    prev = out.get(key)
+    total = coeff if prev is None else prev + coeff
     if total:
         out[key] = total
     else:
@@ -106,7 +107,7 @@ def _block_mul(x, y):
             _accumulate(entered, (i + 1, j, k, l), coeff.shift(-2 * (j + k)))
             if l:
                 _accumulate(entered, (i, j + 1, k + 1, l - 1),
-                            coeff * (q_pow(2 - 4 * l) - q_pow(2)))
+                            coeff.shift(2 - 4 * l) - coeff.shift(2))
         terms = entered
     _, j2, k2, l2, m2 = y
     live = {(i, j + j2, k + k2, l + l2, x[4] + m2):
@@ -221,11 +222,7 @@ class QGElement(SparseSum):
             for ym, yc in other.terms.items():
                 coeff = xc * yc
                 for mono, factor in _mono_mul(xm, ym).items():
-                    total = out.get(mono, 0) + coeff * factor
-                    if total:
-                        out[mono] = total
-                    else:
-                        out.pop(mono, None)
+                    _accumulate(out, mono, coeff * factor)
         return QGElement(out)
 
     def __pow__(self, n):
@@ -353,20 +350,21 @@ def _check_relations(product, half, suite, params, expected, tag):
     """check_R's relations, with product(x, y) the reduced product of the
     entries x and y, indexed 0..3 for M11, M12, M21, M22."""
     params = params or {}
-    Q = q_pow(half)
-    gap = Q - q_pow(-half)
+    gap = q_pow(half) - q_pow(-half)
     sub = "Q=s^%d" % half
     bc = product(1, 2)
+
+    def times_q(x, y):
+        # Q * product(x, y): Q = s^half is one term, so shift each term
+        return _wrap_element({mono: coeff.shift(half) for mono, coeff
+                              in product(x, y).terms.items()})
+
     checks = [
-        ("M11*M12 = Q*M12*M11 [%s]" % sub, product(0, 1),
-         product(1, 0).scale(Q)),
-        ("M11*M21 = Q*M21*M11 [%s]" % sub, product(0, 2),
-         product(2, 0).scale(Q)),
+        ("M11*M12 = Q*M12*M11 [%s]" % sub, product(0, 1), times_q(1, 0)),
+        ("M11*M21 = Q*M21*M11 [%s]" % sub, product(0, 2), times_q(2, 0)),
         ("M12*M21 = M21*M12", bc, product(2, 1)),
-        ("M12*M22 = Q*M22*M12 [%s]" % sub, product(1, 3),
-         product(3, 1).scale(Q)),
-        ("M21*M22 = Q*M22*M21 [%s]" % sub, product(2, 3),
-         product(3, 2).scale(Q)),
+        ("M12*M22 = Q*M22*M12 [%s]" % sub, product(1, 3), times_q(3, 1)),
+        ("M21*M22 = Q*M22*M21 [%s]" % sub, product(2, 3), times_q(3, 2)),
         ("M11*M22 - M22*M11 = (Q-Q^-1)*M12*M21 [%s]" % sub,
          product(0, 3) - product(3, 0), bc.scale(gap)),
     ]

@@ -2,21 +2,58 @@
 
 The deformation parameter q is stored as s^2, so half powers of q keep
 integer exponents.  A scalar is a finite sum of terms c * s^a * r^b with
-integer c and integer exponents a, b of either sign, held sparsely with
-no zero coefficients.  The second unit r is the off-diagonal deformation
-parameter; engines that set r = 1 do so through substitute_r_one.
+integer c and integer exponents a, b of either sign.  The second unit r
+is the off-diagonal deformation parameter; engines that set r = 1 do so
+through substitute_r_one.
+
+A scalar takes one of two forms.  A scalar whose terms lie on one line,
+all with one r power (an s-polynomial times r^b, such as every scalar of
+the r = 1 engines) or all with one s power (s^a times an r-polynomial, as
+in Type III), is packed by Kronecker substitution (Schoenhage, EUROCAM
+1982; Harvey, J. Symbolic Comput. 44, 2009; FLINT's fmpz_poly does the
+same): sum_k c_k t^(low + k), t the line's variable, is held as low and
+the one Python integer sum_k c_k 2^(W k), each c_k a balanced signed digit
+of W bits, W a multiple of 64.  A product of two values packed along the
+same variable is then one big-integer multiply, a sum on one line one
+big-integer add after a shift that lines up the two lows, and a shift
+moves low or the line; a one-term value, packed along s, moves onto the r
+line of the value it meets.  Every other scalar, one off any line or a sparse
+one such as 1 + s^100000000000, is held as a dict {(a, b): c} with no zero
+coefficients.  A packed value longer than _LONG digits has at least one
+term per _DENSITY digits, so no value takes much more memory packed than
+it would as a dict.
+
+Exactness guard.  A packed value carries its norm, a bound on the sum of
+the sizes of its coefficients: exact when the value is packed from its
+terms, and grown by |x + y| <= |x| + |y| and |x y| <= |x| |y| through
+sums and products.  Each coefficient is at most the norm, so the digits
+are exact while the norm stays below 2^(W-1).  An operation whose result
+norm would reach that repacks its operands at their exact norms plus
+_HEADROOM bits, widening W; so no digit ever overflows, and the norm is
+tightened only then, not on every operation.  Equality, hash and text()
+read the terms, which depend on neither W nor the form; two values packed
+on one line at one width compare as (low, packed) directly.
 """
+
+import sys
+from array import array
+from types import MappingProxyType
+
+_HEADROOM = 16   # spare bits above the exact norm when a value is packed
+_LONG = 256      # packed values longer than this many digits must be dense
+_DENSITY = 16    # ... with at least one term per _DENSITY digits
+_LITTLE = sys.byteorder == "little"
 
 
 class SparseSum:
     """A finite sum held as {key: coefficient} with no zero coefficients.
 
-    The cold operations live here once.  A subclass supplies three hooks:
-    _like(terms) builds a value of the same kind from clean terms without
-    running __init__, _operand(other) coerces the other side of + and -
-    (None when it does not apply), and _term(key, coeff) renders one term
-    as (body, negative).  Products stay in the subclasses, whose inner
-    loops are the engine's hot paths.
+    The cold operations of Element and QGElement live here once.  A
+    subclass supplies three hooks: _like(terms) builds a value of the same
+    kind from clean terms without running __init__, _operand(other)
+    coerces the other side of + and - (None when it does not apply), and
+    _term(key, coeff) renders one term as (body, negative).  Products stay
+    in the subclasses, whose inner loops are the engine's hot paths.
     """
 
     __slots__ = ("terms",)
@@ -62,14 +99,19 @@ class SparseSum:
         """Canonical rendering, terms in ascending key order."""
         if not self.terms:
             return "0"
-        chunks = []
-        for key, coeff in sorted(self.terms.items()):
-            body, negative = self._term(key, coeff)
-            if not chunks:
-                chunks.append("-" + body if negative else body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return _join(self._term(key, coeff)
+                     for key, coeff in sorted(self.terms.items()))
+
+
+def _join(rendered):
+    """Join (body, negative) pairs into one signed sum."""
+    chunks = []
+    for body, negative in rendered:
+        if not chunks:
+            chunks.append("-" + body if negative else body)
+        else:
+            chunks.append((" - " if negative else " + ") + body)
+    return "".join(chunks)
 
 
 def term_text(coeff, factors):
@@ -90,11 +132,128 @@ def term_text(coeff, factors):
     return " * ".join(factors), negative
 
 
-def _wrap(clean_terms):
-    out = object.__new__(LaurentScalar)
-    out.terms = clean_terms
-    out._hash = None
+# ---- the packed form: balanced digits in one integer ----------------------
+
+def _width_for(norm):
+    """The digit width for coefficients of size <= norm, with headroom."""
+    return 64 * ((norm.bit_length() + _HEADROOM) // 64 + 1)
+
+
+def _bias(width, count):
+    """B = sum_k 2^(width-1) 2^(width k) over k < count.
+
+    P + B has every digit c_k + 2^(width-1) in [0, 2^width), so no digit
+    borrows from its neighbour; flipping the top bit of each digit, (P + B)
+    ^ B, leaves the digits of P in two's complement, read off in one
+    to_bytes pass.
+    """
+    return int.from_bytes(
+        (bytes(width // 8 - 1) + b"\x80") * count, "little")
+
+
+def _unpack(packed, width):
+    """The balanced digits of packed, lowest first.
+
+    With the digits' norm below 2^(width-1), an n-digit value lies between
+    2^(width(n-1)-1) and 2^(width n-1) in size, so its bit length gives n.
+    """
+    count = packed.bit_length() // width + 1
+    if count == 1:
+        return [packed]
+    bias = _bias(width, count)
+    size = width // 8
+    raw = ((packed + bias) ^ bias).to_bytes(count * size, "little")
+    if width == 64:
+        digits = array("q", raw)
+        if not _LITTLE:
+            digits.byteswap()
+        return digits.tolist()
+    return [int.from_bytes(raw[k:k + size], "little", signed=True)
+            for k in range(0, len(raw), size)]
+
+
+def _pack(digits, width):
+    """sum_k digits[k] 2^(width k); the inverse of _unpack."""
+    if len(digits) == 1:
+        return digits[0]
+    if width == 64:
+        raw = array("q", digits)
+        if not _LITTLE:
+            raw.byteswap()
+    else:
+        size = width // 8
+        raw = b"".join(digit.to_bytes(size, "little", signed=True)
+                       for digit in digits)
+    bias = _bias(width, len(digits))
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+_new = object.__new__
+
+
+def _packed_value(line, low, packed, width, norm):
+    out = _new(LaurentScalar)
+    out._line = line
+    out._low = low
+    out._packed = packed
+    out._width = width
+    out._norm = norm
     return out
+
+
+def _sparse_value(terms):
+    out = _new(LaurentScalar)
+    out._packed = None
+    out._terms = terms
+    return out
+
+
+def _line_terms(line, low, digits):
+    """The terms of digits laid from low along line (see LaurentScalar)."""
+    fixed = line >> 1
+    if line & 1:
+        return {(fixed, low + k): c for k, c in enumerate(digits) if c}
+    return {(low + k, fixed): c for k, c in enumerate(digits) if c}
+
+
+def _thin(count, terms):
+    """True when count digits holding terms nonzero ones are too sparse to
+    pack."""
+    return count > _LONG and count > _DENSITY * terms
+
+
+def _from_terms(terms):
+    """The value of clean terms {(a, b): c}, packed when they lie on one
+    line: one r power (an s-polynomial times r^b), or else one s power."""
+    if not terms:
+        return ZERO
+    keys = iter(terms)
+    a0, b0 = next(keys)
+    if all(b == b0 for _, b in keys):
+        line, axis = 2 * b0, 0
+    elif all(a == a0 for a, _ in terms):
+        line, axis = 2 * a0 + 1, 1
+    else:
+        return _sparse_value(terms)
+    low = min(key[axis] for key in terms)
+    count = max(key[axis] for key in terms) - low + 1
+    if _thin(count, len(terms)):
+        return _sparse_value(terms)
+    digits = [0] * count
+    for key, coeff in terms.items():
+        digits[key[axis] - low] = coeff
+    norm = sum(map(abs, digits))
+    width = _width_for(norm)
+    return _packed_value(line, low, _pack(digits, width), width, norm)
+
+
+def _checked(value):
+    """value, a packed result about _LONG digits long or longer, or its
+    sparse form if it has fewer than one term per _DENSITY digits."""
+    digits = _unpack(value._packed, value._width)
+    if _thin(len(digits), len(digits) - digits.count(0)):
+        return _sparse_value(_line_terms(value._line, value._low, digits))
+    return value
 
 
 def _coerce(value):
@@ -105,60 +264,176 @@ def _coerce(value):
     return None
 
 
-class LaurentScalar(SparseSum):
-    """Immutable sparse Laurent polynomial over Z[s^+-1, r^+-1]."""
+class LaurentScalar:
+    """Immutable Laurent polynomial over Z[s^+-1, r^+-1].
 
-    __slots__ = ("_hash",)
+    Built from {(s_exp, r_exp): coeff}; terms reads the same mapping back.
+    A packed value (_packed not None) lies on the line _line = 2 f + axis:
+    on axis 0 its digit k is the term of s^(_low + k) r^f, on axis 1 that
+    of s^f r^(_low + k).  A one-term value is packed on axis 0.  A sparse
+    value keeps its dict in _terms, where a packed one caches its unpacked
+    terms.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
-        self._hash = None
+    __slots__ = ("_line", "_low", "_packed", "_width", "_norm", "_terms",
+                 "_hash")
 
-    _like = staticmethod(_wrap)
-    _operand = staticmethod(_coerce)
+    def __new__(cls, terms=None):
+        if not terms:
+            # a new zero, not ZERO: copy and pickle fill in what this returns
+            return _packed_value(0, 0, 0, 64, 0)
+        return _from_terms({key: c for key, c in terms.items() if c})
 
     @classmethod
     def zero(cls):
-        return cls()
+        return ZERO
 
     @classmethod
     def one(cls):
-        return cls({(0, 0): 1})
+        return ONE
 
     @classmethod
     def integer(cls, n):
-        return cls({(0, 0): n})
+        return cls.monomial(n)
 
     @classmethod
     def monomial(cls, coeff, s_exp=0, r_exp=0):
-        return cls({(s_exp, r_exp): coeff})
+        if not coeff:
+            return ZERO
+        norm = abs(coeff)
+        return _packed_value(2 * r_exp, s_exp, coeff, _width_for(norm), norm)
+
+    def _term_dict(self):
+        """The terms as a dict, unpacked once and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            pass
+        terms = _line_terms(self._line, self._low,
+                            _unpack(self._packed, self._width))
+        self._terms = terms
+        return terms
+
+    @property
+    def terms(self):
+        """The {(s_exp, r_exp): coeff} terms, as a read-only mapping."""
+        return MappingProxyType(self._term_dict())
+
+    def __bool__(self):
+        if self._packed is None:
+            return True
+        return bool(self._packed)
+
+    def is_zero(self):
+        return not self
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentScalar.integer(other)
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self.terms == other.terms
+        if other.__class__ is not LaurentScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        x, y = self._packed, other._packed
+        if x is not None and y is not None and self._width == other._width \
+                and self._line == other._line:
+            return x == y and self._low == other._low
+        return self._term_dict() == other._term_dict()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        self._hash = hash(frozenset(self._term_dict().items()))
         return self._hash
 
-    def __mul__(self, other):
+    def __add__(self, other):
+        if other.__class__ is not LaurentScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        x, y = self._packed, other._packed
+        if x is None or y is None:
+            return _add_terms(self, other)
+        if not x:
+            return other
+        if not y:
+            return self
+        width = self._width
+        gap = self._low - other._low
+        if width != other._width or self._line != other._line or \
+                -_LONG > gap or gap > _LONG:
+            return _add_wide(self, other)
+        norm = self._norm + other._norm
+        if norm >> (width - 1):
+            return _add_wide(self, other)
+        if gap >= 0:
+            low = other._low
+            total = (x << (width * gap)) + y
+        else:
+            low = self._low
+            total = x + (y << (-width * gap))
+        if not total:
+            return ZERO
+        if not total & ((1 << width) - 1):
+            # the lowest digits cancelled: move low up to the first term
+            zeros = ((total & -total).bit_length() - 1) // width
+            total >>= width * zeros
+            low += zeros
+        out = _new(LaurentScalar)
+        out._line = self._line
+        out._low = low
+        out._packed = total
+        out._width = width
+        out._norm = norm
+        if total.bit_length() > _LONG * width:
+            return _checked(out)
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self._packed is None:
+            return _sparse_value({key: -c for key, c in self._terms.items()})
+        return _packed_value(self._line, self._low, -self._packed,
+                             self._width, self._norm)
+
+    def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    del out[key]
-        return _wrap(out)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        if other.__class__ is not LaurentScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        x, y = self._packed, other._packed
+        if x is None or y is None:
+            return _mul_terms(self, other)
+        if not x or not y:
+            return ZERO
+        line, width = self._line, self._width
+        norm = self._norm * other._norm
+        if (line ^ other._line) & 1 or width != other._width or \
+                norm >> (width - 1):
+            return _mul_wide(self, other)
+        out = _new(LaurentScalar)
+        # on one axis the fixed exponents add: (2f + axis) + (2g + axis)
+        out._line = line + other._line - (line & 1)
+        out._low = self._low + other._low
+        out._packed = x = x * y
+        out._width = width
+        out._norm = norm
+        if x.bit_length() > _LONG * width:
+            return _checked(out)
+        return out
 
     __rmul__ = __mul__
 
@@ -172,52 +447,148 @@ class LaurentScalar(SparseSum):
         """Multiply by the monomial s^s_exp * r^r_exp."""
         if not s_exp and not r_exp:
             return self
-        return _wrap({(a + s_exp, b + r_exp): c for (a, b), c in self.terms.items()})
+        x = self._packed
+        if x is None:
+            return _from_terms({(a + s_exp, b + r_exp): c
+                                for (a, b), c in self._terms.items()})
+        if not x:
+            return self
+        line = self._line
+        if line & 1:
+            s_exp, r_exp = r_exp, s_exp
+        return _packed_value(line + 2 * r_exp, self._low + s_exp, x,
+                             self._width, self._norm)
 
     def is_unit_monomial(self):
         """True for +-s^a * r^b, the invertible scalars."""
-        if len(self.terms) != 1:
+        if self._packed is not None:
+            return self._packed in (1, -1)
+        if len(self._terms) != 1:
             return False
-        (coeff,) = self.terms.values()
+        (coeff,) = self._terms.values()
         return coeff in (1, -1)
 
     def monomial_inverse(self):
         if not self.is_unit_monomial():
             raise ValueError("not an invertible scalar: %s" % self.text())
-        ((a, b), coeff), = self.terms.items()
-        return LaurentScalar({(-a, -b): coeff})
+        ((a, b), coeff), = self._term_dict().items()
+        return LaurentScalar.monomial(coeff, -a, -b)
 
     def substitute_r_one(self):
         """Collapse every r power to 1, leaving a polynomial in s alone."""
-        if all(b == 0 for (_, b) in self.terms):
+        x = self._packed
+        if x is not None and not self._line & 1:
+            if not self._line:
+                return self
+            # an s-polynomial times r^b
+            return _packed_value(0, self._low, x, self._width, self._norm)
+        if x is None and not any(b for _, b in self._terms):
             return self
         out = {}
-        for (a, _), coeff in self.terms.items():
-            key = (a, 0)
-            total = out.get(key, 0) + coeff
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-        return _wrap(out)
+        for (a, _), coeff in self._term_dict().items():
+            out[a] = out.get(a, 0) + coeff
+        return _from_terms({(a, 0): c for a, c in out.items() if c})
 
-    def _term(self, key, coeff):
-        a, b = key
-        factors = []
-        if abs(coeff) != 1 or (a == 0 and b == 0):
-            factors.append(str(abs(coeff)))
-        if a:
-            factors.append("s" if a == 1 else "s^%d" % a)
-        if b:
-            factors.append("r" if b == 1 else "r^%d" % b)
-        return " * ".join(factors), coeff < 0
+    def text(self):
+        """Canonical rendering, terms in ascending (s, r) exponent order."""
+        terms = self._term_dict()
+        if not terms:
+            return "0"
+        return _join(_monomial_text(a, b, c)
+                     for (a, b), c in sorted(terms.items()))
 
     def __repr__(self):
         return self.text()
 
 
-ZERO = LaurentScalar.zero()
-ONE = LaurentScalar.one()
+def _monomial_text(a, b, coeff):
+    factors = []
+    if abs(coeff) != 1 or (a == 0 and b == 0):
+        factors.append(str(abs(coeff)))
+    if a:
+        factors.append("s" if a == 1 else "s^%d" % a)
+    if b:
+        factors.append("r" if b == 1 else "r^%d" % b)
+    return " * ".join(factors), coeff < 0
+
+
+def _add_terms(x, y):
+    out = dict(x._term_dict())
+    for key, coeff in y._term_dict().items():
+        total = out.get(key, 0) + coeff
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return _from_terms(out)
+
+
+def _one_axis(x, y):
+    """x and y, a one-term value on the s axis moved onto the r axis when
+    the other lies there."""
+    if (x._line ^ y._line) & 1:
+        if x._line & 1:
+            x, y = y, x
+        if x._packed.bit_length() < x._width:
+            # c s^a r^b on the r axis: fixed exponent a, low b
+            x = _packed_value(2 * x._low + 1, x._line >> 1, x._packed,
+                              x._width, x._norm)
+    return x, y
+
+
+def _exact(value):
+    """The digits of a packed value and their exact norm."""
+    digits = _unpack(value._packed, value._width)
+    return digits, sum(map(abs, digits))
+
+
+def _repacked(value, digits, norm, width):
+    return _packed_value(value._line, value._low, _pack(digits, width), width,
+                         norm)
+
+
+def _add_wide(x, y):
+    """x + y for packed values of two widths or lines, far apart, or near
+    overflow: both are repacked at one width that holds their exact sum."""
+    if x._line != y._line:
+        x, y = _one_axis(x, y)
+        return x + y if x._line == y._line else _add_terms(x, y)
+    if abs(x._low - y._low) > _LONG:
+        return _add_terms(x, y)
+    (xd, xn), (yd, yn) = _exact(x), _exact(y)
+    width = max(x._width, y._width, _width_for(xn + yn))
+    return _repacked(x, xd, xn, width) + _repacked(y, yd, yn, width)
+
+
+def _mul_wide(x, y):
+    """x * y for packed values of two widths or axes, or whose product
+    could overflow a digit: both are repacked at one width that holds
+    their exact product."""
+    if (x._line ^ y._line) & 1:
+        x, y = _one_axis(x, y)
+        return _mul_terms(x, y) if (x._line ^ y._line) & 1 else x * y
+    (xd, xn), (yd, yn) = _exact(x), _exact(y)
+    width = max(x._width, y._width, _width_for(xn * yn))
+    return _repacked(x, xd, xn, width) * _repacked(y, yd, yn, width)
+
+
+def _mul_terms(x, y):
+    """x * y term by term, for factors not packed along one variable."""
+    out = {}
+    right = y._term_dict().items()
+    for (a1, b1), c1 in x._term_dict().items():
+        for (a2, b2), c2 in right:
+            key = (a1 + a2, b1 + b2)
+            total = out.get(key, 0) + c1 * c2
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return _from_terms(out)
+
+
+ZERO = _packed_value(0, 0, 0, 64, 0)
+ONE = LaurentScalar.monomial(1)
 
 
 def power(one, base, n):

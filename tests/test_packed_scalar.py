@@ -1,0 +1,206 @@
+"""The packed LaurentScalar against the dict scalar of tests/dict_scalar.py.
+
+The strategies reach what the packed form has to get right: coefficients
+near the 64-bit digit limits (2^62, 2^63) and up to 2^200, so products and
+sums have to widen their digits; dense values hundreds of digits long,
+placed anywhere in an s-range of 2 * 10^4, so sums line up far-apart lows;
+sparse values with spans up to 10^4, which must stay sparse; and values
+on one r power or one s power, packed along s or along r, meeting each
+other and the one-term values.
+"""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dict_scalar import DictScalar
+from qmpairs.scalars import LaurentScalar, ONE, q_pow
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _coeffs():
+    near = st.sampled_from((2 ** 62, 2 ** 63, 2 ** 64, 2 ** 127))
+    return st.one_of(
+        st.integers(-9, 9),
+        st.builds(lambda base, off, sign: sign * (base + off),
+                  near, st.integers(-3, 3), st.sampled_from((1, -1))),
+        st.integers(-2 ** 200, 2 ** 200),
+    )
+
+
+def _sparse_terms():
+    exps = st.one_of(st.integers(-5, 5), st.integers(-10 ** 4, 10 ** 4))
+    r_exps = st.one_of(st.just(0), st.integers(-3, 3))
+    return st.dictionaries(st.tuples(exps, r_exps), _coeffs(), max_size=5)
+
+
+def _line(axis, fixed, low, values):
+    if axis:
+        return {(fixed, low + k): c for k, c in enumerate(values)}
+    return {(low + k, fixed): c for k, c in enumerate(values)}
+
+
+def _dense_terms():
+    """Dense runs of terms along s at one r power, or along r at one s
+    power: the values the packed form holds."""
+    coeffs = st.one_of(st.integers(-300, 300), _coeffs())
+    length = st.one_of(st.integers(1, 8), st.integers(130, 300))
+    return st.builds(
+        _line, st.integers(0, 1), st.one_of(st.just(0), st.integers(-3, 3)),
+        st.integers(-10 ** 4, 10 ** 4),
+        length.flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n)))
+
+
+def pairs():
+    """A scalar and its dict-scalar twin, built from the same terms."""
+    return st.one_of(_sparse_terms(), _dense_terms()).map(
+        lambda terms: (LaurentScalar(terms), DictScalar(terms)))
+
+
+def _same(value, oracle):
+    assert dict(value.terms) == oracle.terms
+    assert value == LaurentScalar(oracle.terms)
+    assert hash(value) == hash(oracle)
+    assert value.text() == oracle.text()
+    assert bool(value) == bool(oracle.terms)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pairs(), pairs(), st.integers(-10 ** 4, 10 ** 4), st.integers(-2, 2))
+def test_packed_against_dict(xp, yp, s_exp, r_exp):
+    (x, dx), (y, dy) = xp, yp
+    _same(x, dx)
+    _same(x + y, dx + dy)
+    _same(x - y, dx - dy)
+    _same(x * y, dx * dy)
+    _same(x.shift(s_exp, r_exp), dx.shift(s_exp, r_exp))
+    _same(x.substitute_r_one(), dx.substitute_r_one())
+    assert (x == y) == (dx == dy)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(pairs(), pairs(), pairs())
+def test_packed_chains_against_dict(xp, yp, zp):
+    """Products of products grow the coefficient norm past each width."""
+    (x, dx), (y, dy), (z, dz) = xp, yp, zp
+    _same((x * y) * z, (dx * dy) * dz)
+    _same(x * y + z * x, dx * dy + dz * dx)
+    _same((x + y) * (x - y), (dx + dy) * (dx - dy))
+    _same((x + y) - x, dy)
+
+
+def test_equal_values_of_two_widths():
+    x = LaurentScalar({(0, 0): 1, (3, 0): -2})
+    big = LaurentScalar.integer(2 ** 70)
+    wide = (x + big) - big
+    assert wide._width > x._width
+    assert wide == x and x == wide
+    assert hash(wide) == hash(x)
+    assert wide.text() == x.text() == "1 - 2 * s^3"
+    # sums across two widths whose top or bottom digits cancel
+    y = LaurentScalar({(1, 0): 2 ** 70, (3, 0): 2})
+    _same(x + y, DictScalar({(0, 0): 1, (1, 0): 2 ** 70}))
+    _same(wide - x, DictScalar())
+    _same(y - x + 1, DictScalar({(1, 0): 2 ** 70, (3, 0): 4}))
+
+
+def test_low_moves_past_cancelled_digits():
+    x = LaurentScalar({(0, 0): 1, (1, 0): 1})
+    for y in (q_pow(5), LaurentScalar({(3, 0): 4, (9, 0): -1})):
+        _same((x + y) - x, DictScalar(dict(y.terms)))
+
+
+def test_widening_keeps_products_exact():
+    x = LaurentScalar({(0, 0): 2 ** 62 - 1, (1, 0): -(2 ** 62)})
+    value, oracle = x, DictScalar(dict(x.terms))
+    for _ in range(4):
+        value, oracle = value * x, oracle * DictScalar(dict(x.terms))
+    _same(value, oracle)
+
+
+def test_sums_past_the_digit_limit():
+    # norm 3037000499 < 2^31.5: the square keeps 64-bit digits, its top
+    # digit 3037000498^2 just below 2^63
+    x = LaurentScalar({(0, 0): 1, (1, 0): 3037000498})
+    square = x * x
+    assert square._width == 64
+    total, oracle = square, DictScalar(dict(square.terms))
+    for _ in range(3):
+        total, oracle = total + total, oracle + oracle
+    _same(total, oracle)
+
+
+def test_long_thin_products_stay_sparse():
+    x = LaurentScalar({(0, 0): 1, (200, 0): -1})
+    assert x._packed is not None
+    square = x * x
+    assert square._packed is None
+    _same(square, DictScalar({(0, 0): 1, (200, 0): -2, (400, 0): 1}))
+
+
+def test_values_packed_along_r():
+    terms = [{(2, 0): 1, (2, 1): 1}, {(3, 0): 1, (3, 2): -1},
+             {(0, t): t + 1 for t in range(-4, 6)}, {(1, 5): 3},
+             {(4, 0): 2, (5, 0): 1}]
+    values = [LaurentScalar(t) for t in terms]
+    oracles = [DictScalar(t) for t in terms]
+    assert [v._line & 1 for v in values] == [1, 1, 1, 0, 0]
+    for x, dx in zip(values, oracles):
+        for y, dy in zip(values, oracles):
+            _same(x * y, dx * dy)
+            _same(x + y, dx + dy)
+            _same(x - y.shift(1, -2), dx - dy.shift(1, -2))
+            _same((x + y) - x, dy)
+        _same(x.substitute_r_one(), dx.substitute_r_one())
+
+
+def test_terms_is_read_only():
+    for x in (q_pow(2) + 3, LaurentScalar({(0, 1): 2, (5, 0): -1}),
+              LaurentScalar({(0, 0): 1, (10 ** 6, 0): 1})):
+        before, code = x.text(), hash(x)
+        with pytest.raises(TypeError):
+            x.terms[(7, 0)] = 1
+        assert x.text() == before and hash(x) == code
+        assert x == LaurentScalar(dict(x.terms))
+
+
+def test_copies_leave_the_shared_constants_alone():
+    for x in (q_pow(3) + 5, LaurentScalar({(0, 1): 2, (5, 0): -1}),
+              LaurentScalar.zero(), ONE):
+        assert copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+    assert LaurentScalar.zero().text() == "0" and ONE.text() == "1"
+
+
+def test_substitute_r_one_returns_r_free_values_themselves():
+    for x in (ONE, q_pow(-3) - 5, LaurentScalar({(0, 0): 1, (10 ** 9, 0): 2}),
+              LaurentScalar.zero()):
+        assert x.substitute_r_one() is x
+
+
+def test_sparse_wide_span_reduces_in_small_memory():
+    script = (
+        "import io, resource, sys\n"
+        "from qmpairs.cli import main\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "out = io.StringIO()\n"
+        "code = main(['reduce', '--type', 'I', '1 + s^100000000000'],"
+        " out=out)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, after - before)\n"
+        "print(out.getvalue(), end='')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    status, text = done.stdout.split("\n", 1)
+    code, grown = map(int, status.split())
+    grown_mb = grown / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    assert code == 0
+    assert text == "1 + s^100000000000\n"
+    assert grown_mb <= 50
