@@ -4,21 +4,28 @@ Two modes.  Triangular mode knows the generators a1 b1 g1 a2 b2 g2, the
 scalars s, r and q (q^k is stored as s^2k), the matrix tokens U1 and U2,
 and bracket matrix literals [[e11, e12], [0, e22]].  Background mode
 knows a b c d Di and the primed copies a' b' c' d' Di', plus s and q
-(the background scalars carry no r).
+(the background scalars carry no r).  Integers are ASCII digits.
+
+One recursive-descent parser serves both modes.  It is given the
+engine's generator names and constructors, and evaluates as it parses;
+a literal's entries are parsed in place by the same expression rule as
+top-level input.
 
 Syntax errors raise ParseError with a 1-based column; errors coming out
 of the engine (bad corner exponents, non-invertible entries) propagate
 unchanged.
 """
 
-from .scalars import LaurentScalar
-from .algebra import Element, generator
-from .matrices import UTMatrix, generator_matrix
-from . import mq2 as background
+from functools import partial
 
-TRI_GENERATORS = ("a1", "b1", "g1", "a2", "b2", "g2")
-BG_GENERATORS = ("a", "b", "c", "d", "Di", "a'", "b'", "c'", "d'", "Di'")
+from .scalars import LaurentScalar
+from .algebra import Element, generator, DIAG_NAMES, BETA_NAMES
+from .matrices import UTMatrix, generator_matrix
+from .mq2 import QGElement, _MONO_NAMES
+
 MATRIX_NAMES = ("U1", "U2")
+_TRI_SCALARS = {"s": (1, 0), "q": (2, 0), "r": (0, 1)}
+_BG_SCALARS = {"s": (1, 0), "q": (2, 0)}
 
 
 class ParseError(ValueError):
@@ -28,6 +35,7 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*^()[],"
+_DIGITS = "0123456789"
 
 
 def tokenize(src):
@@ -47,9 +55,9 @@ def tokenize(src):
                 j += 1
             out.append(("NAME", src[i:j], col))
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             out.append(("INT", int(src[i:j]), col))
             i = j
@@ -63,9 +71,23 @@ def tokenize(src):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    """Sums of products of powered atoms over one token list.
+
+    names are the engine's generators, built by generator(name, exponent);
+    scalars maps each scalar name to the (s, r) exponents of its first
+    power, and scalar(LaurentScalar) builds the engine's scalar values.
+    matrix(index) builds U1 and U2 in triangular mode.
+    """
+
+    def __init__(self, tokens, names, generator, scalars, scalar,
+                 matrix=None):
         self.tokens = tokens
         self.pos = 0
+        self.names = names
+        self.generator = generator
+        self.scalars = scalars
+        self.scalar = scalar
+        self.matrix = matrix
 
     def peek(self):
         return self.tokens[self.pos]
@@ -75,193 +97,104 @@ class _Parser:
         self.pos += 1
         return token
 
+    def accept(self, symbol):
+        """Consume the next token if it is this symbol."""
+        kind, value, _ = self.peek()
+        if kind == "SYM" and value == symbol:
+            self.pos += 1
+            return True
+        return False
+
     def expect_sym(self, symbol):
         kind, value, col = self.next()
         if kind != "SYM" or value != symbol:
             raise ParseError("expected %r" % symbol, col)
 
-    def at_sym(self, symbol):
-        kind, value, _ = self.peek()
-        return kind == "SYM" and value == symbol
-
     def exponent(self):
         """Integer after '^', optionally negative."""
-        sign = 1
-        if self.at_sym("-"):
-            self.next()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         kind, value, col = self.next()
         if kind != "INT":
             raise ParseError("expected an integer exponent", col)
         return sign * value
 
-
-class _ElementParser(_Parser):
-    """Sums of products of powered atoms, evaluated as it parses.
-
-    A subclass names its GENERATORS, maps each scalar name to the (s, r)
-    exponents of its first power in SCALARS, and builds values through
-    generator_element(name, exponent) and scalar_element(scalar).
-    """
-
-    def parse(self):
-        value = self.expression()
+    def parse(self, rule):
+        """Run one rule over the whole input."""
+        value = rule()
         kind, _, col = self.peek()
         if kind != "END":
             raise ParseError("unexpected trailing input", col)
         return value
 
-    def expression_only(self):
-        value = self.expression()
-        kind, _, col = self.peek()
-        if kind != "END":
-            raise ParseError("unexpected input inside a matrix entry", col)
-        return value
-
     def expression(self):
-        negate = False
-        if self.at_sym("-"):
-            self.next()
-            negate = True
+        negate = self.accept("-")
         value = self.term()
         if negate:
             value = -value
         while True:
-            if self.at_sym("+"):
-                self.next()
+            if self.accept("+"):
                 value = value + self.term()
-            elif self.at_sym("-"):
-                self.next()
+            elif self.accept("-"):
                 value = value - self.term()
             else:
                 return value
 
     def term(self):
         value = self.factor()
-        while self.at_sym("*"):
-            self.next()
+        while self.accept("*"):
             value = value * self.factor()
         return value
 
     def factor(self):
-        kind, token, col = self.peek()
-        if kind == "SYM" and token == "(":
-            self.next()
+        kind, token, col = self.next()
+        if kind == "NAME":
+            exponent = self.exponent() if self.accept("^") else 1
+            return self.named(token, exponent, col)
+        if kind == "INT":
+            value = self.scalar(LaurentScalar.integer(token))
+        elif kind == "SYM" and token == "(":
             value = self.expression()
             self.expect_sym(")")
-            if self.at_sym("^"):
-                self.next()
-                value = value ** self.exponent()
-            return value
-        if kind == "INT":
-            self.next()
-            if self.at_sym("^"):
-                self.next()
-                return self.integer_element(token) ** self.exponent()
-            return self.integer_element(token)
-        if kind == "NAME":
-            self.next()
-            exponent = 1
-            if self.at_sym("^"):
-                self.next()
-                exponent = self.exponent()
-            return self.named(token, exponent, col)
-        raise ParseError("expected a value", col)
-
-    def integer_element(self, value):
-        return self.scalar_element(LaurentScalar.integer(value))
-
-    def named(self, name, exponent, col):
-        if name in self.GENERATORS:
-            return self.generator_element(name, exponent)
-        if name not in self.SCALARS:
-            raise ParseError("unknown name %r" % name, col)
-        s_exp, r_exp = self.SCALARS[name]
-        return self.scalar_element(
-            LaurentScalar.monomial(1, s_exp * exponent, r_exp * exponent))
-
-
-class TriElementParser(_ElementParser):
-    GENERATORS = TRI_GENERATORS
-    SCALARS = {"s": (1, 0), "q": (2, 0), "r": (0, 1)}
-
-    def __init__(self, tokens, family):
-        super().__init__(tokens)
-        self.family = family
-
-    def generator_element(self, name, exponent):
-        return generator(name, exponent, self.family)
-
-    def scalar_element(self, scalar):
-        return Element.scalar(self.family, scalar)
-
-
-class BackgroundElementParser(_ElementParser):
-    GENERATORS = BG_GENERATORS
-    SCALARS = {"s": (1, 0), "q": (2, 0)}
-
-    def generator_element(self, name, exponent):
-        return background.QGElement.generator(name, exponent)
-
-    def scalar_element(self, scalar):
-        return background.QGElement.scalar(scalar)
-
-
-class TriMatrixParser(_Parser):
-    """Products of powered matrix atoms: U1, U2, and bracket literals."""
-
-    def __init__(self, tokens, family):
-        super().__init__(tokens)
-        self.family = family
-
-    def parse(self):
-        value = self.atom()
-        while self.at_sym("*"):
-            self.next()
-            value = value * self.atom()
-        kind, _, col = self.peek()
-        if kind != "END":
-            raise ParseError("unexpected trailing input", col)
+        else:
+            raise ParseError("expected a value", col)
+        if self.accept("^"):
+            value = value ** self.exponent()
         return value
 
-    def atom(self):
+    def named(self, name, exponent, col):
+        if name in self.names:
+            return self.generator(name, exponent)
+        if name not in self.scalars:
+            raise ParseError("unknown name %r" % name, col)
+        s_exp, r_exp = self.scalars[name]
+        return self.scalar(
+            LaurentScalar.monomial(1, s_exp * exponent, r_exp * exponent))
+
+    def matrix_product(self):
+        """Products of powered matrix atoms: U1, U2, and bracket literals."""
+        value = self.matrix_atom()
+        while self.accept("*"):
+            value = value * self.matrix_atom()
+        return value
+
+    def matrix_atom(self):
         kind, token, col = self.peek()
         if kind == "NAME" and token in MATRIX_NAMES:
             self.next()
-            matrix = generator_matrix(int(token[1]), self.family)
+            matrix = self.matrix(int(token[1]))
         elif kind == "SYM" and token == "[":
             matrix = self.literal()
         else:
             raise ParseError("expected U1, U2 or a matrix literal", col)
-        if self.at_sym("^"):
-            self.next()
+        if self.accept("^"):
             matrix = matrix.pow(self.exponent())
         return matrix
 
-    def entry(self):
-        """One literal entry: an element expression up to ',' or ']'."""
-        start = self.pos
-        depth = 0
-        while True:
-            kind, value, col = self.tokens[self.pos]
-            if kind == "END":
-                raise ParseError("unterminated matrix literal", col)
-            if kind == "SYM" and value == "(":
-                depth += 1
-            elif kind == "SYM" and value == ")":
-                depth -= 1
-            elif kind == "SYM" and depth == 0 and value in (",", "]"):
-                break
-            self.pos += 1
-        slice_ = self.tokens[start:self.pos] + [("END", None,
-                                                 self.tokens[self.pos][2])]
-        return TriElementParser(slice_, self.family).expression_only()
-
     def row(self):
         self.expect_sym("[")
-        first = self.entry()
+        first = self.expression()
         self.expect_sym(",")
-        second = self.entry()
+        second = self.expression()
         self.expect_sym("]")
         return first, second
 
@@ -272,7 +205,7 @@ class TriMatrixParser(_Parser):
         self.expect_sym(",")
         e21, e22 = self.row()
         self.expect_sym("]")
-        if e21 != Element.zero(self.family):
+        if e21:
             raise ParseError("lower left entry must reduce to 0", col)
         return UTMatrix(e11, e12, e22)
 
@@ -280,15 +213,20 @@ class TriMatrixParser(_Parser):
 def parse_triangular(src, family):
     """Element or UTMatrix, depending on whether matrix tokens appear."""
     tokens = tokenize(src)
+    parser = _Parser(tokens, DIAG_NAMES + BETA_NAMES,
+                     partial(generator, family=family), _TRI_SCALARS,
+                     partial(Element.scalar, family),
+                     partial(generator_matrix, family=family))
     is_matrix = any(
         (kind == "NAME" and value in MATRIX_NAMES) or
         (kind == "SYM" and value == "[")
         for kind, value, _ in tokens)
-    if is_matrix:
-        return TriMatrixParser(tokens, family).parse()
-    return TriElementParser(tokens, family).parse()
+    return parser.parse(parser.matrix_product if is_matrix
+                        else parser.expression)
 
 
 def parse_background(src):
     """QGElement over the background generator set."""
-    return BackgroundElementParser(tokenize(src)).parse()
+    parser = _Parser(tokenize(src), _MONO_NAMES, QGElement.generator,
+                     _BG_SCALARS, QGElement.scalar)
+    return parser.parse(parser.expression)

@@ -72,6 +72,13 @@ def test_reduce_parse_error_exits_2(capsys):
     assert "column" in capsys.readouterr().err
 
 
+def test_reduce_non_ascii_digit_exits_2(capsys):
+    code, out = _run(["reduce", "--type", "I", "a1^\u00b2"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: unexpected character '\u00b2' (column 4)\n"
+
+
 def test_verify_passing_suite():
     code, out = _run(["verify", "--suite", "theorem1", "--type", "I",
                       "--range", "2"])

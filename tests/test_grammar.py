@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmpairs.scalars import LaurentScalar, q_pow
 from qmpairs.algebra import (
@@ -67,6 +68,10 @@ def test_parse_error_columns():
         ("a1 ^ x", 6),
         ("zz1", 1),
         ("a1 b1", 4),         # juxtaposition is not multiplication
+        # an error inside a literal's entry is reported where it occurs
+        ("[[(a1, b1], [0, g1]]", 6),
+        ("[[a1), b1], [0, g1]]", 5),
+        ("[[a1 a2, b1], [0, g1]]", 6),
     ]
     for src, column in cases:
         with pytest.raises(ParseError) as err:
@@ -91,6 +96,53 @@ def test_tokenizer_columns_one_based():
     tokens = tokenize("a1 + b2")
     assert [(k, c) for k, _, c in tokens] == \
         [("NAME", 1), ("SYM", 4), ("NAME", 6), ("END", 8)]
+
+
+def test_integers_are_ascii_digits():
+    # superscripts and other scripts' digits are not integers
+    for src in ("a1^\u00b2", "a1^\u0663"):
+        for parse in (lambda text: parse_triangular(text, TYPE_I),
+                      parse_background):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert err.value.column == 4, src
+            assert "unexpected character" in str(err.value)
+
+
+_FUZZ_TOKENS = (
+    ("a1", "b1", "g1", "a2", "b2", "g2", "a", "b", "c", "d", "Di", "a'",
+     "b'", "c'", "d'", "Di'", "U1", "U2", "s", "q", "r")
+    + tuple("0123456789") + tuple("+-*^()[],")
+    + ("\u00b2", "\u0663", "_", "\u00e9", "$"))
+
+
+def _raised_in(err):
+    """Module of the innermost Python frame that raised err."""
+    tb = err.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_globals["__name__"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=10))
+def test_fuzz_parsers(tokens):
+    """Any text gives a value that round-trips, a ParseError with a column
+    inside the input, or an engine ValueError; nothing else escapes."""
+    src = " ".join(tokens)
+    parsers = [lambda text, fam=fam: parse_triangular(text, fam)
+               for fam in FAMILIES] + [parse_background]
+    for parse in parsers:
+        try:
+            value = parse(src)
+        except ParseError as err:
+            assert 1 <= err.column <= len(src) + 1, (src, err)
+            continue
+        except ValueError as err:
+            assert _raised_in(err) != "qmpairs.grammar", (src, err)
+            continue
+        text = value.text()
+        assert parse(text).text() == text, src
 
 
 def _random_element(rng, family):
