@@ -8,6 +8,7 @@ byte-identical streams.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -167,7 +168,13 @@ def _run_modular(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The qmp argument parser, built on the first call and shared after.
+
+    parse_args keeps no state on the parser, so one parser serves every
+    main call of a long-lived process.
+    """
     parser = argparse.ArgumentParser(
         prog="qmp",
         description="Exact verification engine for q-commuting "
@@ -204,9 +211,8 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE_EXIT
     try:

@@ -211,18 +211,23 @@ class _Parser:
 
 
 def parse_triangular(src, family):
-    """Element or UTMatrix, depending on whether matrix tokens appear."""
+    """UTMatrix for input that starts with a matrix token (U1, U2 or the
+    '[' of a literal), Element for input with none; an input whose first
+    matrix token comes later is an error at that token's column."""
     tokens = tokenize(src)
     parser = _Parser(tokens, DIAG_NAMES + BETA_NAMES,
                      partial(generator, family=family), _TRI_SCALARS,
                      partial(Element.scalar, family),
                      partial(generator_matrix, family=family))
-    is_matrix = any(
-        (kind == "NAME" and value in MATRIX_NAMES) or
-        (kind == "SYM" and value == "[")
-        for kind, value, _ in tokens)
-    return parser.parse(parser.matrix_product if is_matrix
-                        else parser.expression)
+    first = next((index for index, (kind, value, _) in enumerate(tokens)
+                  if (kind == "NAME" and value in MATRIX_NAMES)
+                  or (kind == "SYM" and value == "[")), None)
+    if first is None:
+        return parser.parse(parser.expression)
+    if first:
+        raise ParseError("a matrix cannot appear in an element expression",
+                         tokens[first][2])
+    return parser.parse(parser.matrix_product)
 
 
 def parse_background(src):

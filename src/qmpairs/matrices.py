@@ -4,7 +4,7 @@ A matrix is (a11, a12; 0, a22) with Element entries.  The two generator
 matrices U1 = (a1, b1; 0, g1) and U2 = (a2, b2; 0, g2) and their inverses
 generate everything the verification suites need.  Closed forms for
 powers and for the product U1^n * U2^m are built from quantum integers
-and generator powers; pow() builds the same matrices as n-fold products,
+and generator powers; pow() builds the same matrices as products,
 formed in scalars.power like every power in the engine, so the two
 constructions can be compared.
 """
@@ -59,8 +59,9 @@ class UTMatrix:
         return UTMatrix(top, -(top * self.a12 * bot), bot)
 
     def pow(self, n):
-        """Integer power as an n-fold product (scalars.power); negative n
-        multiplies the inverse."""
+        """Integer power from scalars.power, in O(log n) products for U1
+        and U2, whose squares have no more terms; negative n multiplies
+        the inverse."""
         base = self.inverse() if n < 0 else self
         return power(UTMatrix.identity(self.family), base, abs(n))
 

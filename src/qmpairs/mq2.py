@@ -315,8 +315,11 @@ fm_mul = operator.mul
 
 
 def fm_pow(matrix, n, inverse=None):
-    """matrix^n as an n-fold product (scalars.power); n < 0 multiplies the
-    inverse."""
+    """matrix^n by scalars.power; n < 0 multiplies the inverse.
+
+    The generator matrix and its inverse grow under squaring, so their
+    powers are n-fold products.
+    """
     if n < 0:
         if inverse is None:
             raise ValueError("negative power without an inverse matrix")

@@ -591,15 +591,44 @@ ZERO = _packed_value(0, 0, 0, 64, 0)
 ONE = LaurentScalar.monomial(1)
 
 
-def power(one, base, n):
-    """base^n for n >= 0 as the n-fold product ((one * base) * base) ...
+def _size(value):
+    """The term count of a scalar or an element; of a matrix, summed over
+    its entries (the matrix classes' only slots)."""
+    terms = getattr(value, "terms", None)
+    if terms is not None:
+        return len(terms)
+    return sum(len(getattr(value, slot).terms) for slot in value.__slots__)
 
-    The one integer-power loop of the engine: every value type and matrix
-    type forms its powers here, each with its own one and its own handling
-    of negative exponents.
+
+def power(one, base, n):
+    """base^n for n >= 0, starting from x = one * base and x * base.
+
+    The one integer-power routine of the engine: every value type and
+    matrix type forms its powers here, each with its own one and its own
+    handling of negative exponents.  When the square has no more terms
+    than x, as for a monomial or the generator matrices, the powers do not
+    grow and left-to-right binary powering takes O(log n) products
+    (Knuth, TAOCP Vol. 2, 4.6.3).  Otherwise the product takes on one
+    factor of base at a time: squaring a growing value multiplies two
+    large operands, and costs far more than the n-fold product.  Both
+    orders give one value, and the first product is the same, so a bad
+    base raises the same error.
     """
-    result = one
-    for _ in range(n):
+    if not n:
+        return one
+    x = one * base
+    if n == 1:
+        return x
+    result = x * base
+    if _size(result) <= _size(x):
+        # the bits of n after its leading 1; result is x^2 at the first
+        for k, bit in enumerate(bin(n)[3:]):
+            if k:
+                result = result * result
+            if bit == "1":
+                result = result * x
+        return result
+    for _ in range(n - 2):
         result = result * base
     return result
 

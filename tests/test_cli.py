@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -179,3 +180,42 @@ def test_verify_text_marks_expected():
     assert code == 0
     assert "[expected violation]" in out
     assert "[VIOLATION]" not in out
+
+
+def _fresh(argv):
+    """(exit code, stdout, stderr) of main(argv) in a new process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+               COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\nfrom qmpairs.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))"] + argv,
+        env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_repeated_calls_match_fresh_calls(capsys, monkeypatch):
+    """One process calling main again and again on the one cached parser
+    prints what a new process prints for each call, and exits the same."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["reduce", "--type", "III", "U1^5 * U2^-3"],
+        ["reduce"],
+        ["verify", "--suite", "mq2", "--range", "0"],
+        ["reduce", "--type", "II", "--format", "json", "a1 * b2"],
+        ["reduce", "--type", "II", "a1 * b2"],
+        ["--help"],
+    ]
+    fresh = [_fresh(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    for _ in range(2):
+        for argv, want in zip(calls, fresh):
+            out = io.StringIO()
+            code = main(argv, out=out)
+            # argparse writes --help to sys.stdout, not to out
+            printed = capsys.readouterr()
+            assert (code, out.getvalue() + printed.out, printed.err) == \
+                want, argv

@@ -79,6 +79,26 @@ def test_parse_error_columns():
         assert err.value.column == column, src
 
 
+def test_matrix_inside_element_expression():
+    """A matrix token after the first token is reported where it stands;
+    input that starts with a matrix keeps the matrix grammar's errors."""
+    for src, column in (("a1 * [", 6), ("a1 + g1 * U1", 11), ("2 * U1", 5),
+                        ("-U2^2", 2), ("(U1)", 2)):
+        for fam in FAMILIES:
+            with pytest.raises(ParseError) as err:
+                parse_triangular(src, fam)
+            assert err.value.column == column, src
+            assert str(err.value) == "a matrix cannot appear in an " \
+                "element expression (column %d)" % column
+    for src, message in (
+            ("U1 * a1", "expected U1, U2 or a matrix literal (column 6)"),
+            ("[[a1, b1], [0, g1]] + U1", "unexpected trailing input "
+                                         "(column 21)")):
+        with pytest.raises(ParseError) as err:
+            parse_triangular(src, TYPE_I)
+        assert str(err.value) == message
+
+
 def test_background_names():
     x = parse_background("q^-1 * a * b + Di'^2 * c'")
     gen = QGElement.generator
