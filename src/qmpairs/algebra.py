@@ -35,7 +35,7 @@ tested against.
 
 import enum
 
-from .scalars import LaurentScalar, SparseSum, power, term_text
+from .scalars import LaurentScalar, SparseSum, accumulate, power, term_text
 
 ONE = LaurentScalar.one()
 
@@ -156,7 +156,7 @@ def _mono_mul(family, left, right):
 class Element(SparseSum):
     """Finite linear combination of canonical monomials over one family."""
 
-    __slots__ = ("family",)
+    __slots__ = ("terms", "family")
 
     def __init__(self, family, terms=None):
         self.family = family
@@ -197,16 +197,6 @@ class Element(SparseSum):
             coeff = LaurentScalar.integer(coeff)
         return cls(family, {(0, 0, 0, 0, 0): coeff})
 
-    def as_scalar(self):
-        """The coefficient of the identity if the element is scalar, else None."""
-        if not self.terms:
-            return LaurentScalar.zero()
-        if len(self.terms) == 1:
-            (mono, coeff), = self.terms.items()
-            if mono == (0, 0, 0, 0, 0):
-                return coeff
-        return None
-
     def single_term(self):
         """(monomial, coefficient) for a one-term element, else None."""
         if len(self.terms) == 1:
@@ -240,13 +230,8 @@ class Element(SparseSum):
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono, s_sh, r_sh = _mono_mul(family, m1, m2)
-                coeff = (c1 * c2).shift(s_sh, r_sh if keep_r else 0)
-                prev = out.get(mono)
-                total = prev + coeff if prev is not None else coeff
-                if total:
-                    out[mono] = total
-                else:
-                    del out[mono]
+                accumulate(out, mono,
+                           (c1 * c2).shift(s_sh, r_sh if keep_r else 0))
         return self._like(out)
 
     def __rmul__(self, other):

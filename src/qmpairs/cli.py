@@ -8,6 +8,7 @@ byte-identical streams.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -29,7 +30,7 @@ SUITES = ("prop1", "prop2", "prop3", "theorem1", "theorem2", "theorem3",
           "mq2", "all")
 
 
-# one encoder for every report line; json.dumps(..., sort_keys=True) would
+# one encoder for every JSON line; json.dumps(..., sort_keys=True) would
 # build a new one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -125,9 +126,9 @@ def _run_reduce(args, out):
     else:
         value = parse_triangular(args.expression, _FAMILIES[args.type])
     if args.format == "json":
-        out.write(json.dumps({"family": args.type, "input": args.expression,
-                              "normal_form": value.text()},
-                             sort_keys=True) + "\n")
+        out.write(_ENCODER.encode({"family": args.type,
+                                   "input": args.expression,
+                                   "normal_form": value.text()}) + "\n")
     else:
         out.write(value.text() + "\n")
     return 0
@@ -153,12 +154,12 @@ def _run_modular(args, out):
     rows = exponent_rows(pair)
     shadow = word_to_matrix(word)
     if args.format == "json":
-        out.write(json.dumps({
+        out.write(_ENCODER.encode({
             "family": args.type, "word": "".join(word),
             "v1": pair.u1.text(), "v2": pair.u2.text(),
             "rows": [list(rows[0]), list(rows[1])],
-            "sl2z": [list(shadow.rows()[0]), list(shadow.rows()[1])]},
-            sort_keys=True) + "\n")
+            "sl2z": [list(shadow.rows()[0]), list(shadow.rows()[1])]})
+            + "\n")
     else:
         out.write("V1 = %s\n" % pair.u1.text())
         out.write("V2 = %s\n" % pair.u2.text())
@@ -212,7 +213,9 @@ def build_parser():
 def main(argv=None, out=None):
     out = out or sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        # --help and -h print to sys.stdout; send them to out instead
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else USAGE_EXIT
     try:

@@ -20,7 +20,8 @@ rules one adjacent swap at a time and is the independent oracle.
 import operator
 from functools import lru_cache
 
-from .scalars import LaurentScalar, SparseSum, term_text, q_pow, power, ONE
+from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
+                      power, ONE)
 from .reports import RelationReport, HOLDS, VIOLATED, compare
 
 MQ2 = "mq2"
@@ -35,15 +36,6 @@ _SWAP_FACTOR = {
     (_B, _A): -2, (_C, _A): -2, (_C, _B): 0,
     (_D, _B): -2, (_D, _C): -2,
 }
-
-
-def _accumulate(out, key, coeff):
-    prev = out.get(key)
-    total = coeff if prev is None else prev + coeff
-    if total:
-        out[key] = total
-    else:
-        out.pop(key, None)
 
 
 def _word_rewrites(word, pos):
@@ -77,7 +69,7 @@ def reduce_word(word, strategy="leftmost"):
             counts = [0, 0, 0, 0]
             for letter in current:
                 counts[letter] += 1
-            _accumulate(out, tuple(counts), coeff)
+            accumulate(out, tuple(counts), coeff)
             continue
         pos = positions[0] if strategy == "leftmost" else positions[-1]
         for nxt, factor in _word_rewrites(current, pos):
@@ -104,10 +96,10 @@ def _block_mul(x, y):
     for _ in range(y[0]):
         entered = {}
         for (i, j, k, l), coeff in terms.items():
-            _accumulate(entered, (i + 1, j, k, l), coeff.shift(-2 * (j + k)))
+            accumulate(entered, (i + 1, j, k, l), coeff.shift(-2 * (j + k)))
             if l:
-                _accumulate(entered, (i, j + 1, k + 1, l - 1),
-                            coeff.shift(2 - 4 * l) - coeff.shift(2))
+                accumulate(entered, (i, j + 1, k + 1, l - 1),
+                           coeff.shift(2 - 4 * l) - coeff.shift(2))
         terms = entered
     _, j2, k2, l2, m2 = y
     live = {(i, j + j2, k + k2, l + l2, x[4] + m2):
@@ -119,12 +111,12 @@ def _block_mul(x, y):
         for key, coeff in live.items():
             i, j, k, l, m = key
             if i and l and m:
-                _accumulate(level, (i - 1, j, k, l - 1, m - 1),
-                            coeff.shift(2 * (j + k)))
-                _accumulate(level, (i - 1, j + 1, k + 1, l - 1, m),
-                            coeff.shift(2 * (j + k + 1)))
+                accumulate(level, (i - 1, j, k, l - 1, m - 1),
+                           coeff.shift(2 * (j + k)))
+                accumulate(level, (i - 1, j + 1, k + 1, l - 1, m),
+                           coeff.shift(2 * (j + k + 1)))
             else:
-                _accumulate(out, key, coeff)
+                accumulate(out, key, coeff)
         live = level
     return tuple(out.items())
 
@@ -143,20 +135,11 @@ def _mono_mul(x, y):
 
 _ZERO10 = (0,) * 10
 
-_GENERATOR_MONOS = {
-    "a": (1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
-    "b": (0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
-    "c": (0, 0, 1, 0, 0, 0, 0, 0, 0, 0),
-    "d": (0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
-    "Di": (0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
-    "a'": (0, 0, 0, 0, 0, 1, 0, 0, 0, 0),
-    "b'": (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-    "c'": (0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
-    "d'": (0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
-    "Di'": (0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-}
-
 _MONO_NAMES = ("a", "b", "c", "d", "Di", "a'", "b'", "c'", "d'", "Di'")
+
+# each generator's monomial: the unit vector at its slot
+_GENERATOR_MONOS = {name: tuple(int(k == slot) for k in range(10))
+                    for slot, name in enumerate(_MONO_NAMES)}
 
 
 def _wrap_element(clean_terms):
@@ -168,7 +151,7 @@ def _wrap_element(clean_terms):
 class QGElement(SparseSum):
     """Linear combination of normal-form monomials."""
 
-    __slots__ = ()
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = {}
@@ -222,7 +205,7 @@ class QGElement(SparseSum):
             for ym, yc in other.terms.items():
                 coeff = xc * yc
                 for mono, factor in _mono_mul(xm, ym).items():
-                    _accumulate(out, mono, coeff * factor)
+                    accumulate(out, mono, coeff * factor)
         return QGElement(out)
 
     def __pow__(self, n):
@@ -413,7 +396,7 @@ def _coproduct_products(products):
                 right = blocks[2 * a + j, 2 * b + l]
                 for block, coeff in blocks[2 * i + a, 2 * k + b]:
                     for pblock, pcoeff in right:
-                        _accumulate(out, block + pblock, coeff * pcoeff)
+                        accumulate(out, block + pblock, coeff * pcoeff)
         return _wrap_element(out)
 
     return product

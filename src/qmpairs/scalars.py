@@ -6,22 +6,21 @@ integer c and integer exponents a, b of either sign.  The second unit r
 is the off-diagonal deformation parameter; engines that set r = 1 do so
 through substitute_r_one.
 
-A scalar takes one of two forms.  A scalar whose terms lie on one line,
-all with one r power (an s-polynomial times r^b, such as every scalar of
-the r = 1 engines) or all with one s power (s^a times an r-polynomial, as
-in Type III), is packed by Kronecker substitution (Schoenhage, EUROCAM
+A scalar takes one of two forms.  A scalar whose terms all carry one r
+power, an s-polynomial times r^b such as every scalar of the r = 1
+engines, is packed along s by Kronecker substitution (Schoenhage, EUROCAM
 1982; Harvey, J. Symbolic Comput. 44, 2009; FLINT's fmpz_poly does the
-same): sum_k c_k t^(low + k), t the line's variable, is held as low and
-the one Python integer sum_k c_k 2^(W k), each c_k a balanced signed digit
-of W bits, W a multiple of 64.  A product of two values packed along the
-same variable is then one big-integer multiply, a sum on one line one
-big-integer add after a shift that lines up the two lows, and a shift
-moves low or the line; a one-term value, packed along s, moves onto the r
-line of the value it meets.  Every other scalar, one off any line or a sparse
-one such as 1 + s^100000000000, is held as a dict {(a, b): c} with no zero
-coefficients.  A packed value longer than _LONG digits has at least one
-term per _DENSITY digits, so no value takes much more memory packed than
-it would as a dict.
+same): sum_k c_k s^(low + k) r^b is held as b, low and the one Python
+integer sum_k c_k 2^(W k), each c_k a balanced signed digit of W bits, W a
+multiple of 64.  A product of two packed values is then one big-integer
+multiply, a sum at one r power one big-integer add after a shift that
+lines up the two lows, and a shift moves low and b.  Every other scalar,
+one spanning several r powers (as the r-polynomials of Type III) or a
+sparse one such as 1 + s^100000000000, is held as a dict {(a, b): c} with
+no zero coefficients and takes the term-by-term arithmetic of SparseSum.
+A packed value longer than _LONG digits has at least one term per
+_DENSITY digits, so no value takes much more memory packed than it would
+as a dict.
 
 Exactness guard.  A packed value carries its norm, a bound on the sum of
 the sizes of its coefficients: exact when the value is packed from its
@@ -32,7 +31,7 @@ norm would reach that repacks its operands at their exact norms plus
 _HEADROOM bits, widening W; so no digit ever overflows, and the norm is
 tightened only then, not on every operation.  Equality, hash and text()
 read the terms, which depend on neither W nor the form; two values packed
-on one line at one width compare as (low, packed) directly.
+at one r power and one width compare as (low, packed) directly.
 """
 
 import sys
@@ -48,21 +47,19 @@ _LITTLE = sys.byteorder == "little"
 class SparseSum:
     """A finite sum held as {key: coefficient} with no zero coefficients.
 
-    The cold operations of Element and QGElement live here once.  A
-    subclass supplies three hooks: _like(terms) builds a value of the same
-    kind from clean terms without running __init__, _operand(other)
-    coerces the other side of + and - (None when it does not apply), and
-    _term(key, coeff) renders one term as (body, negative).  Products stay
-    in the subclasses, whose inner loops are the engine's hot paths.
+    The cold operations of LaurentScalar, Element and QGElement live here
+    once.  A subclass holds its terms mapping as terms and supplies three
+    hooks: _like(terms) builds a value of the same kind from clean terms
+    without running __init__, _operand(other) coerces the other side of +
+    and - (None when it does not apply), and _term(key, coeff) renders one
+    term as (body, negative).  Products stay in the subclasses, whose inner
+    loops are the engine's hot paths.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __add__(self, other):
         other = self._operand(other)
@@ -70,12 +67,7 @@ class SparseSum:
             return NotImplemented
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            prev = out.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+            accumulate(out, key, coeff)
         return self._like(out)
 
     __radd__ = __add__
@@ -101,6 +93,16 @@ class SparseSum:
             return "0"
         return _join(self._term(key, coeff)
                      for key, coeff in sorted(self.terms.items()))
+
+
+def accumulate(out, key, coeff):
+    """Add coeff into out[key], dropping the key when the sum is zero."""
+    prev = out.get(key)
+    total = coeff if prev is None else prev + coeff
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
 
 
 def _join(rendered):
@@ -209,11 +211,8 @@ def _sparse_value(terms):
 
 
 def _line_terms(line, low, digits):
-    """The terms of digits laid from low along line (see LaurentScalar)."""
-    fixed = line >> 1
-    if line & 1:
-        return {(fixed, low + k): c for k, c in enumerate(digits) if c}
-    return {(low + k, fixed): c for k, c in enumerate(digits) if c}
+    """The terms of digits, digit k at s^(low + k) r^line."""
+    return {(low + k, line): c for k, c in enumerate(digits) if c}
 
 
 def _thin(count, terms):
@@ -223,25 +222,21 @@ def _thin(count, terms):
 
 
 def _from_terms(terms):
-    """The value of clean terms {(a, b): c}, packed when they lie on one
-    line: one r power (an s-polynomial times r^b), or else one s power."""
+    """The value of clean terms {(a, b): c}, packed when they all carry
+    one r power b (an s-polynomial times r^b)."""
     if not terms:
         return ZERO
     keys = iter(terms)
-    a0, b0 = next(keys)
-    if all(b == b0 for _, b in keys):
-        line, axis = 2 * b0, 0
-    elif all(a == a0 for a, _ in terms):
-        line, axis = 2 * a0 + 1, 1
-    else:
+    _, line = next(keys)
+    if any(b != line for _, b in keys):
         return _sparse_value(terms)
-    low = min(key[axis] for key in terms)
-    count = max(key[axis] for key in terms) - low + 1
+    low = min(a for a, _ in terms)
+    count = max(a for a, _ in terms) - low + 1
     if _thin(count, len(terms)):
         return _sparse_value(terms)
     digits = [0] * count
-    for key, coeff in terms.items():
-        digits[key[axis] - low] = coeff
+    for (a, _), coeff in terms.items():
+        digits[a - low] = coeff
     norm = sum(map(abs, digits))
     width = _width_for(norm)
     return _packed_value(line, low, _pack(digits, width), width, norm)
@@ -264,15 +259,28 @@ def _coerce(value):
     return None
 
 
-class LaurentScalar:
+def _monomial_text(key, coeff):
+    """One term c * s^a * r^b as (body, negative) for SparseSum.text."""
+    a, b = key
+    factors = []
+    if abs(coeff) != 1 or (a == 0 and b == 0):
+        factors.append(str(abs(coeff)))
+    if a:
+        factors.append("s" if a == 1 else "s^%d" % a)
+    if b:
+        factors.append("r" if b == 1 else "r^%d" % b)
+    return " * ".join(factors), coeff < 0
+
+
+class LaurentScalar(SparseSum):
     """Immutable Laurent polynomial over Z[s^+-1, r^+-1].
 
     Built from {(s_exp, r_exp): coeff}; terms reads the same mapping back.
-    A packed value (_packed not None) lies on the line _line = 2 f + axis:
-    on axis 0 its digit k is the term of s^(_low + k) r^f, on axis 1 that
-    of s^f r^(_low + k).  A one-term value is packed on axis 0.  A sparse
-    value keeps its dict in _terms, where a packed one caches its unpacked
-    terms.
+    A packed value (_packed not None) is packed along s at the one r power
+    _line: its digit k is the term of s^(_low + k) r^_line.  A sparse value
+    keeps its dict in _terms, where a packed one caches its unpacked terms;
+    sums and products that meet a sparse value run term by term, the sums
+    in SparseSum.__add__.
     """
 
     __slots__ = ("_line", "_low", "_packed", "_width", "_norm", "_terms",
@@ -301,7 +309,7 @@ class LaurentScalar:
         if not coeff:
             return ZERO
         norm = abs(coeff)
-        return _packed_value(2 * r_exp, s_exp, coeff, _width_for(norm), norm)
+        return _packed_value(r_exp, s_exp, coeff, _width_for(norm), norm)
 
     def _term_dict(self):
         """The terms as a dict, unpacked once and kept."""
@@ -319,13 +327,14 @@ class LaurentScalar:
         """The {(s_exp, r_exp): coeff} terms, as a read-only mapping."""
         return MappingProxyType(self._term_dict())
 
+    _like = staticmethod(_from_terms)
+    _operand = staticmethod(_coerce)
+    _term = staticmethod(_monomial_text)
+
     def __bool__(self):
         if self._packed is None:
             return True
         return bool(self._packed)
-
-    def is_zero(self):
-        return not self
 
     def __eq__(self, other):
         if other.__class__ is not LaurentScalar:
@@ -353,7 +362,7 @@ class LaurentScalar:
                 return NotImplemented
         x, y = self._packed, other._packed
         if x is None or y is None:
-            return _add_terms(self, other)
+            return SparseSum.__add__(self, other)
         if not x:
             return other
         if not y:
@@ -397,18 +406,6 @@ class LaurentScalar:
         return _packed_value(self._line, self._low, -self._packed,
                              self._width, self._norm)
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if other.__class__ is not LaurentScalar:
             other = _coerce(other)
@@ -419,14 +416,12 @@ class LaurentScalar:
             return _mul_terms(self, other)
         if not x or not y:
             return ZERO
-        line, width = self._line, self._width
+        width = self._width
         norm = self._norm * other._norm
-        if (line ^ other._line) & 1 or width != other._width or \
-                norm >> (width - 1):
+        if width != other._width or norm >> (width - 1):
             return _mul_wide(self, other)
         out = _new(LaurentScalar)
-        # on one axis the fixed exponents add: (2f + axis) + (2g + axis)
-        out._line = line + other._line - (line & 1)
+        out._line = self._line + other._line
         out._low = self._low + other._low
         out._packed = x = x * y
         out._width = width
@@ -453,10 +448,7 @@ class LaurentScalar:
                                 for (a, b), c in self._terms.items()})
         if not x:
             return self
-        line = self._line
-        if line & 1:
-            s_exp, r_exp = r_exp, s_exp
-        return _packed_value(line + 2 * r_exp, self._low + s_exp, x,
+        return _packed_value(self._line + r_exp, self._low + s_exp, x,
                              self._width, self._norm)
 
     def is_unit_monomial(self):
@@ -477,63 +469,19 @@ class LaurentScalar:
     def substitute_r_one(self):
         """Collapse every r power to 1, leaving a polynomial in s alone."""
         x = self._packed
-        if x is not None and not self._line & 1:
+        if x is not None:
             if not self._line:
                 return self
-            # an s-polynomial times r^b
             return _packed_value(0, self._low, x, self._width, self._norm)
-        if x is None and not any(b for _, b in self._terms):
+        if not any(b for _, b in self._terms):
             return self
         out = {}
-        for (a, _), coeff in self._term_dict().items():
-            out[a] = out.get(a, 0) + coeff
-        return _from_terms({(a, 0): c for a, c in out.items() if c})
-
-    def text(self):
-        """Canonical rendering, terms in ascending (s, r) exponent order."""
-        terms = self._term_dict()
-        if not terms:
-            return "0"
-        return _join(_monomial_text(a, b, c)
-                     for (a, b), c in sorted(terms.items()))
+        for (a, _), coeff in self._terms.items():
+            accumulate(out, (a, 0), coeff)
+        return _from_terms(out)
 
     def __repr__(self):
         return self.text()
-
-
-def _monomial_text(a, b, coeff):
-    factors = []
-    if abs(coeff) != 1 or (a == 0 and b == 0):
-        factors.append(str(abs(coeff)))
-    if a:
-        factors.append("s" if a == 1 else "s^%d" % a)
-    if b:
-        factors.append("r" if b == 1 else "r^%d" % b)
-    return " * ".join(factors), coeff < 0
-
-
-def _add_terms(x, y):
-    out = dict(x._term_dict())
-    for key, coeff in y._term_dict().items():
-        total = out.get(key, 0) + coeff
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return _from_terms(out)
-
-
-def _one_axis(x, y):
-    """x and y, a one-term value on the s axis moved onto the r axis when
-    the other lies there."""
-    if (x._line ^ y._line) & 1:
-        if x._line & 1:
-            x, y = y, x
-        if x._packed.bit_length() < x._width:
-            # c s^a r^b on the r axis: fixed exponent a, low b
-            x = _packed_value(2 * x._low + 1, x._line >> 1, x._packed,
-                              x._width, x._norm)
-    return x, y
 
 
 def _exact(value):
@@ -548,42 +496,32 @@ def _repacked(value, digits, norm, width):
 
 
 def _add_wide(x, y):
-    """x + y for packed values of two widths or lines, far apart, or near
-    overflow: both are repacked at one width that holds their exact sum."""
-    if x._line != y._line:
-        x, y = _one_axis(x, y)
-        return x + y if x._line == y._line else _add_terms(x, y)
-    if abs(x._low - y._low) > _LONG:
-        return _add_terms(x, y)
+    """x + y for packed values of two widths or r powers, far apart, or
+    near overflow: both are repacked at one width that holds their exact
+    sum, or added term by term when they do not share one r power."""
+    if x._line != y._line or abs(x._low - y._low) > _LONG:
+        return SparseSum.__add__(x, y)
     (xd, xn), (yd, yn) = _exact(x), _exact(y)
     width = max(x._width, y._width, _width_for(xn + yn))
     return _repacked(x, xd, xn, width) + _repacked(y, yd, yn, width)
 
 
 def _mul_wide(x, y):
-    """x * y for packed values of two widths or axes, or whose product
-    could overflow a digit: both are repacked at one width that holds
-    their exact product."""
-    if (x._line ^ y._line) & 1:
-        x, y = _one_axis(x, y)
-        return _mul_terms(x, y) if (x._line ^ y._line) & 1 else x * y
+    """x * y for packed values of two widths, or whose product could
+    overflow a digit: both are repacked at one width that holds their
+    exact product."""
     (xd, xn), (yd, yn) = _exact(x), _exact(y)
     width = max(x._width, y._width, _width_for(xn * yn))
     return _repacked(x, xd, xn, width) * _repacked(y, yd, yn, width)
 
 
 def _mul_terms(x, y):
-    """x * y term by term, for factors not packed along one variable."""
+    """x * y term by term, for a factor that is not packed."""
     out = {}
     right = y._term_dict().items()
     for (a1, b1), c1 in x._term_dict().items():
         for (a2, b2), c2 in right:
-            key = (a1 + a2, b1 + b2)
-            total = out.get(key, 0) + c1 * c2
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+            accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
     return _from_terms(out)
 
 

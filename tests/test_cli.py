@@ -215,7 +215,6 @@ def test_repeated_calls_match_fresh_calls(capsys, monkeypatch):
         for argv, want in zip(calls, fresh):
             out = io.StringIO()
             code = main(argv, out=out)
-            # argparse writes --help to sys.stdout, not to out
             printed = capsys.readouterr()
-            assert (code, out.getvalue() + printed.out, printed.err) == \
-                want, argv
+            assert printed.out == "", argv
+            assert (code, out.getvalue(), printed.err) == want, argv

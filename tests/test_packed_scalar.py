@@ -5,8 +5,8 @@ near the 64-bit digit limits (2^62, 2^63) and up to 2^200, so products and
 sums have to widen their digits; dense values hundreds of digits long,
 placed anywhere in an s-range of 2 * 10^4, so sums line up far-apart lows;
 sparse values with spans up to 10^4, which must stay sparse; and values
-on one r power or one s power, packed along s or along r, meeting each
-other and the one-term values.
+on one r power, packed along s, meeting runs along r at one s power, which
+span several r powers and so are held as dicts, and the one-term values.
 """
 
 import copy
@@ -47,8 +47,8 @@ def _line(axis, fixed, low, values):
 
 
 def _dense_terms():
-    """Dense runs of terms along s at one r power, or along r at one s
-    power: the values the packed form holds."""
+    """Dense runs of terms along s at one r power, the values the packed
+    form holds, or along r at one s power, which it leaves as dicts."""
     coeffs = st.one_of(st.integers(-300, 300), _coeffs())
     length = st.one_of(st.integers(1, 8), st.integers(130, 300))
     return st.builds(
@@ -150,7 +150,9 @@ def test_values_packed_along_r():
              {(4, 0): 2, (5, 0): 1}]
     values = [LaurentScalar(t) for t in terms]
     oracles = [DictScalar(t) for t in terms]
-    assert [v._line & 1 for v in values] == [1, 1, 1, 0, 0]
+    # values on several r powers are dicts; on one r power, packed
+    assert [v._packed is None for v in values] == \
+        [True, True, True, False, False]
     for x, dx in zip(values, oracles):
         for y, dy in zip(values, oracles):
             _same(x * y, dx * dy)

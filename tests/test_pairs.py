@@ -225,11 +225,14 @@ def test_pair_power_cache_consistency():
     assert pair.u2_pow(0).a12 == Element.zero(TYPE_III)
 
 
-def test_pair_power_cache_is_iterative():
-    # far past the default recursion limit: powers are an iterative loop
-    pair = generator_pair(TYPE_I)
-    assert pair.u1_pow(1200) == closed_power(1, 1200, TYPE_I)
-    assert pair.u1_pow(-1200) == closed_power(1, -1200, TYPE_I)
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_pair_power_cache_is_iterative(family):
+    # far past the default recursion limit: powers are an iterative loop.
+    # On Type III the b1 entry carries a 1200-term r-polynomial, a scalar
+    # held as a dict.
+    pair = generator_pair(family)
+    assert pair.u1_pow(1200) == closed_power(1, 1200, family)
+    assert pair.u1_pow(-1200) == closed_power(1, -1200, family)
 
 
 def test_pair_construction_builds_no_matrix(monkeypatch):
