@@ -5,12 +5,21 @@ expected=True count as holding), 1 on an unexpected violation or an
 engine error, 2 on parse or usage errors.  JSON output is one report
 object per line with sorted keys, so identical invocations produce
 byte-identical streams.
+
+`verify` writes each report as soon as its suite decides it.  Usage
+errors are raised before the first line, so exit 2 leaves stdout empty;
+an engine error in the middle of a suite leaves the lines already
+written on stdout, and still exits 1 with one `error:` line on stderr.
+A reader that closes the pipe early (`| head -1`) stops the run: the
+entry point then exits 1 and prints nothing.
 """
 
 import argparse
 import contextlib
 import functools
+import itertools
 import json
+import os
 import sys
 
 from .algebra import TYPE_I, TYPE_II, TYPE_III
@@ -30,39 +39,54 @@ SUITES = ("prop1", "prop2", "prop3", "theorem1", "theorem2", "theorem3",
           "mq2", "all")
 
 
-# one encoder for every JSON line; json.dumps(..., sort_keys=True) would
-# build a new one per call
+# one encoder for the JSON values the CLI writes (report params, reduce
+# and modular lines); json.dumps(..., sort_keys=True) would build a new
+# one per call
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_STRING = json.encoder.encode_basestring_ascii
+
+# a report's eight keys in sorted order, as _ENCODER would write them
+_REPORT_LINE = ('{"expected": %s, "family": %s, "lhs": %s, "params": %s, '
+                '"relation": %s, "rhs": %s, "status": %s, "suite": %s}')
 
 
 class UsageError(ValueError):
     """Command combination outside the contract; maps to exit 2."""
 
 
-def collect_reports(suite, family_token, power_range):
-    """Reports for one suite; family_token is None only for mq2."""
+def stream_reports(suite, family_token, power_range):
+    """The report stream of one suite; family_token is None only for mq2.
+
+    Usage errors are raised by this call, before any report is decided.
+    """
     if suite == "mq2":
-        return mq2.verify_results(power_range) + mq2.verify_pbw_smoke()
+        return itertools.chain(mq2.verify_results.stream(power_range),
+                               mq2.verify_pbw_smoke.stream())
     if family_token is None:
         raise UsageError("suite %s needs --type" % suite)
     family = _FAMILIES[family_token]
     if suite == "prop1":
-        return verify_prop1(family, power_range)
+        return verify_prop1.stream(family, power_range)
     if suite == "prop2":
         if family_token != "I":
             raise UsageError("prop2 is defined for --type I only")
-        return verify_prop2(power_range)
+        return verify_prop2.stream(power_range)
     if suite == "prop3":
-        return verify_prop3(family, power_range)
+        return verify_prop3.stream(family, power_range)
     if suite == "theorem1":
-        return verify_theorem1(family, power_range)
+        return verify_theorem1.stream(family, power_range)
     if suite == "theorem2":
-        return verify_theorem2(family, power_range)
+        return verify_theorem2.stream(family, power_range)
     if suite == "theorem3":
         if family_token == "III":
             raise UsageError("theorem3 is defined for --type I or II only")
-        return verify_theorem3(family)
+        return verify_theorem3.stream(family)
     raise UsageError("unknown suite %r" % suite)
+
+
+def collect_reports(suite, family_token, power_range):
+    """The reports of stream_reports as one list."""
+    return list(stream_reports(suite, family_token, power_range))
 
 
 def suites_for(family_token):
@@ -78,11 +102,14 @@ def suites_for(family_token):
 
 
 def _report_json(report):
-    return _ENCODER.encode({
-        "suite": report.suite, "family": report.family,
-        "params": report.params, "relation": report.relation,
-        "status": report.status, "expected": report.expected,
-        "lhs": report.lhs, "rhs": report.rhs})
+    """The bytes _ENCODER.encode writes for the report's eight fields."""
+    lhs, rhs = report.lhs, report.rhs
+    return _REPORT_LINE % (
+        "true" if report.expected else "false", _STRING(report.family),
+        "null" if lhs is None else _STRING(lhs),
+        _ENCODER.encode(report.params), _STRING(report.relation),
+        "null" if rhs is None else _STRING(rhs),
+        _STRING(report.status), _STRING(report.suite))
 
 
 def _report_text(report):
@@ -101,22 +128,24 @@ def _report_text(report):
 
 
 def emit_reports(reports, fmt, out):
-    failed = 0
-    expected = 0
+    """Write each report of the iterable as it arrives, counting as it
+    goes; text output ends with a summary line."""
+    checked = failed = expected = 0
+    write = out.write
     for report in reports:
+        checked += 1
         if report.status != "holds":
             if report.expected:
                 expected += 1
             else:
                 failed += 1
         if fmt == "json":
-            out.write(_report_json(report) + "\n")
+            write(_report_json(report) + "\n")
         else:
-            out.write(_report_text(report) + "\n")
+            write(_report_text(report) + "\n")
     if fmt == "text":
-        out.write("%d relations checked, %d unexpected violations, "
-                  "%d expected diagnostics\n"
-                  % (len(reports), failed, expected))
+        write("%d relations checked, %d unexpected violations, "
+              "%d expected diagnostics\n" % (checked, failed, expected))
     return FAILURE_EXIT if failed else 0
 
 
@@ -140,12 +169,14 @@ def _run_verify(args, out):
     if args.suite == "all":
         if args.type is None:
             raise UsageError("suite all needs --type")
-        reports = []
-        for suite in suites_for(args.type):
-            reports += collect_reports(suite, args.type, args.range)
+        suites = suites_for(args.type)
     else:
-        reports = collect_reports(args.suite, args.type, args.range)
-    return emit_reports(reports, args.format, out)
+        suites = [args.suite]
+    # every stream is made, and so checked for usage errors, up front
+    streams = [stream_reports(suite, args.type, args.range)
+               for suite in suites]
+    return emit_reports(itertools.chain.from_iterable(streams), args.format,
+                        out)
 
 
 def _run_modular(args, out):
@@ -229,7 +260,18 @@ def main(argv=None, out=None):
 
 
 def main_entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit does not raise again (Python docs, "Note on
+        # SIGPIPE")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = FAILURE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

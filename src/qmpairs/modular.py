@@ -16,7 +16,7 @@ from .scalars import LaurentScalar, q_pow
 from .algebra import TYPE_I, TYPE_II, TYPE_III
 from .matrices import UTMatrix, extract_power_form
 from .pairs import QPair, generator_pair
-from .reports import RelationReport, VIOLATED, compare
+from .reports import RelationReport, VIOLATED, compare, streamed
 
 LETTERS = ("S", "T", "S'", "T'")
 _INVERSE = {"S": "S'", "S'": "S", "T": "T'", "T'": "T"}
@@ -226,10 +226,10 @@ def random_words(count, max_length, seed):
     return out
 
 
+@streamed
 def verify_theorem3(family, word_count=50, max_length=8, seed=20260816,
                     suite="theorem3"):
     """Presentation checks plus a seeded correspondence sample."""
-    out = verify_presentation(family, suite)
+    yield from verify_presentation(family, suite)
     for word in random_words(word_count, max_length, seed):
-        out += check_correspondence(word, family, suite)
-    return out
+        yield from check_correspondence(word, family, suite)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
                       power, ONE)
-from .reports import RelationReport, HOLDS, VIOLATED, compare
+from .reports import RelationReport, HOLDS, VIOLATED, compare, streamed
 
 MQ2 = "mq2"
 
@@ -402,6 +402,7 @@ def _coproduct_products(products):
     return product
 
 
+@streamed
 def verify_results(n_range, suite=MQ2):
     """Power, inverse-power, and primed-product relation grids.
 
@@ -416,26 +417,25 @@ def verify_results(n_range, suite=MQ2):
     and primed letters commute with unprimed ones, so the joined products
     are exactly the direct ones.
     """
-    out = []
     dq = quantum_determinant_element()
     for name in ("a", "b", "c", "d", "Di"):
         x = QGElement.generator(name)
-        out.append(compare(dq * x, x * dq, suite, MQ2, {},
-                           "Dq*%s = %s*Dq" % (name, name)))
+        yield compare(dq * x, x * dq, suite, MQ2, {},
+                      "Dq*%s = %s*Dq" % (name, name))
     u = generator_full_matrix()
     uinv = qg_inverse_matrix()
     identity = FullMatrix.identity()
-    out.append(compare(u * uinv, identity, suite, MQ2, {}, "U*U^-1 = I"))
-    out.append(compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I"))
+    yield compare(u * uinv, identity, suite, MQ2, {}, "U*U^-1 = I")
+    yield compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I")
     for n in range(-n_range, n_range + 1):
         products = _entry_products(fm_pow(u, n, uinv))
-        out += _check_relations(lambda x, y: products[x, y], 2 * n, suite,
-                                {"n": n}, False, "U^n: ")
-        out += _check_relations(_coproduct_products(products), 2 * n, suite,
-                                {"n": n}, False, "U^n*U'^n: ")
-    return out
+        yield from _check_relations(lambda x, y: products[x, y], 2 * n,
+                                    suite, {"n": n}, False, "U^n: ")
+        yield from _check_relations(_coproduct_products(products), 2 * n,
+                                    suite, {"n": n}, False, "U^n*U'^n: ")
 
 
+@streamed
 def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816, suite=MQ2):
     """Order-independence of the rewriting on random letter words.
 
@@ -444,7 +444,6 @@ def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816, suite=MQ2):
     """
     import random
     rng = random.Random(seed)
-    out = []
     for index in range(word_count):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(0, max_length)))
         left = reduce_word(word, "leftmost")
@@ -456,12 +455,10 @@ def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816, suite=MQ2):
         name = "".join(_LETTER_NAMES[letter] for letter in word) or "(empty)"
         relation = "word %s: strategy-independent normal form" % name
         if left == right and padded == product.terms:
-            out.append(RelationReport(suite, MQ2, {"n": index}, relation,
-                                      HOLDS))
+            yield RelationReport(suite, MQ2, {"n": index}, relation, HOLDS)
         else:
             texts = ["%s:%s" % (k, v.text()) for k, v in sorted(left.items())]
             rtexts = ["%s:%s" % (k, v.text()) for k, v in sorted(right.items())]
-            out.append(RelationReport(suite, MQ2, {"n": index}, relation,
-                                      VIOLATED, False, "; ".join(texts),
-                                      "; ".join(rtexts)))
-    return out
+            yield RelationReport(suite, MQ2, {"n": index}, relation,
+                                 VIOLATED, False, "; ".join(texts),
+                                 "; ".join(rtexts))

@@ -3,13 +3,15 @@
 A QPair holds two upper triangular matrices over one relation family.
 The check_* functions reduce both sides of a relation and return
 RelationReport records (see reports); a violated relation is reported,
-never raised.
+never raised.  The verify_* suites are generators under reports.streamed:
+each returns its reports as a list, and .stream yields them one by one.
 """
 
 from .scalars import LaurentScalar, q_pow, r_pow
 from .algebra import TYPE_I, TYPE_II, TYPE_III, Element, generator
 from .matrices import UTMatrix, generator_matrix, closed_power, closed_product_entries
 from .reports import RelationReport, compare  # noqa: F401 (re-exported)
+from .reports import streamed
 
 
 class UnsupportedTransform(ValueError):
@@ -230,7 +232,6 @@ _BETA_SWAPS = (
 def _diagonal_swaps(family, swaps, power_range, suite):
     """Reports for X^n Y^m = q^(e n m) Y^m X^n, for each (X, Y, e) in
     swaps and all exponents in [-power_range, power_range]."""
-    out = []
     rng = range(-power_range, power_range + 1)
     for x, y, e in swaps:
         for n in rng:
@@ -239,12 +240,12 @@ def _diagonal_swaps(family, swaps, power_range, suite):
                 ys = generator(y, m, family)
                 lhs = xs * ys
                 rhs = (ys * xs).scale(q_pow(2 * e * n * m))
-                out.append(compare(
+                yield compare(
                     lhs, rhs, suite, family.value, {"n": n, "m": m},
-                    "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x)))
-    return out
+                    "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x))
 
 
+@streamed
 def verify_prop1(family, power_range, suite="prop1"):
     """Power versions of every two-generator relation.
 
@@ -252,7 +253,7 @@ def verify_prop1(family, power_range, suite="prop1"):
     a_i^n b_j = f^n b_j g_i^n for the mixed pairs, all exponents in
     [-power_range, power_range].
     """
-    out = _diagonal_swaps(family, _DIAG_SWAPS, power_range, suite)
+    yield from _diagonal_swaps(family, _DIAG_SWAPS, power_range, suite)
     rng = range(-power_range, power_range + 1)
     for x, y, s_exp, r_exp in _BETA_SWAPS:
         beta = generator(y, 1, family)
@@ -261,12 +262,12 @@ def verify_prop1(family, power_range, suite="prop1"):
             lhs = generator(x, n, family) * beta
             factor = LaurentScalar.monomial(1, s_exp * n, r_exp * n)
             rhs = (beta * generator(gname, n, family)).scale(factor)
-            out.append(compare(
+            yield compare(
                 lhs, rhs, suite, family.value, {"n": n},
-                "%s^n * %s = f^n * %s * %s^n" % (x, y, y, gname)))
-    return out
+                "%s^n * %s = f^n * %s * %s^n" % (x, y, y, gname))
 
 
+@streamed
 def verify_prop2(power_range, suite="prop2"):
     """Derive the full diagonal table inside the Type I engine.
 
@@ -275,21 +276,20 @@ def verify_prop2(power_range, suite="prop2"):
     three diagonal relations (and their power versions) demonstrates that
     those relations are consequences rather than independent inputs.
     """
-    return _diagonal_swaps(
+    yield from _diagonal_swaps(
         TYPE_I, (("a1", "g2", -1), ("a2", "g1", 1), ("g1", "g2", 1)),
         power_range, suite)
 
 
+@streamed
 def verify_prop3(family, power_range, suite="prop3"):
     """Repeated multiplication against the closed power form."""
-    out = []
     for index in (1, 2):
         base = generator_matrix(index, family)
         for n in range(-power_range, power_range + 1):
-            out.append(compare(base.pow(n), closed_power(index, n, family),
-                               suite, family.value, {"n": n},
-                               "U%d^n = closed power form" % index))
-    return out
+            yield compare(base.pow(n), closed_power(index, n, family),
+                          suite, family.value, {"n": n},
+                          "U%d^n = closed power form" % index)
 
 
 def _theorem1_point(pair, n, m, suite):
@@ -306,6 +306,7 @@ def _theorem1_point(pair, n, m, suite):
     return out
 
 
+@streamed
 def verify_theorem1(family, power_range, suite="theorem1",
                     witness_range=8):
     """Internal relations of the product matrix U1^n * U2^m.
@@ -316,28 +317,26 @@ def verify_theorem1(family, power_range, suite="theorem1",
     fail and are reported with expected=True.
     """
     pair = generator_pair(family)
-    out = []
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
         for n in rng:
-            out += _theorem1_point(pair, n, n, suite)
+            yield from _theorem1_point(pair, n, n, suite)
         probe = closed_product_entries(2, 1, family)
         a, b, c = probe.a11, probe.a12, probe.a22
-        out.append(compare(a * c, c * a, suite, family.value,
-                           {"n": 2, "m": 1}, "A*C = C*A"))
+        yield compare(a * c, c * a, suite, family.value, {"n": 2, "m": 1},
+                      "A*C = C*A")
         lhs = a * b
         for k in range(-witness_range, witness_range + 1):
             rhs = (b * c).scale(r_pow(k))
-            out.append(compare(lhs, rhs, suite, family.value,
-                               {"n": 2, "m": 1},
-                               "A*B = r^%d * B*C" % k, expected=True))
+            yield compare(lhs, rhs, suite, family.value, {"n": 2, "m": 1},
+                          "A*B = r^%d * B*C" % k, expected=True)
     else:
         for n in rng:
             for m in rng:
-                out += _theorem1_point(pair, n, m, suite)
-    return out
+                yield from _theorem1_point(pair, n, m, suite)
 
 
+@streamed
 def verify_theorem2(family, power_range, suite="theorem2"):
     """Every derived pair satisfies the family relations with shifted q.
 
@@ -354,17 +353,18 @@ def verify_theorem2(family, power_range, suite="theorem2"):
     once; the q-commutation sides are built from them, and the mutual
     relations reuse them and add the four diagonal cross products.
     Reports keep the per-quadruple order: q-commutation, V1 internal, V2
-    internal, mutual.
+    internal, mutual.  Only the members and their internal reports are
+    kept across quadruples; every report is yielded as soon as it is
+    decided.
     """
     pair = generator_pair(family)
-    out = []
     internal = {}
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
-        quads = [(n, 0, 0, n) for n in rng]
+        quads = ((n, 0, 0, n) for n in rng)
     else:
-        quads = [(n, m, s, t) for n in rng for m in rng
-                 for s in rng for t in rng]
+        quads = ((n, m, s, t) for n in rng for m in rng
+                 for s in rng for t in rng)
     for n, m, s, t in quads:
         derived = make_product_pair(pair, n, m, s, t)
         half = 2 * (n * t - m * s)
@@ -372,15 +372,15 @@ def verify_theorem2(family, power_range, suite="theorem2"):
         central, nd = family_internal_parameters(family, n)
         v1, v2 = derived.u1, derived.u2
         products = _commutation_products(v1, v2)
-        out.append(_q_commutation(products, half, suite, family.value, params))
+        yield _q_commutation(products, half, suite, family.value, params)
         for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
             key = (tag, exps, central, nd)
             reports = internal.get(key)
             if reports is None:
                 reports = internal[key] = check_internal(
                     member, central, nd, suite, family.value, params, tag=tag)
-                out += reports
+                yield from reports
             else:
-                out += [report.with_params(params) for report in reports]
-        out += _mutual(products, v1, v2, half, suite, family.value, params)
-    return out
+                for report in reports:
+                    yield report.with_params(params)
+        yield from _mutual(products, v1, v2, half, suite, family.value, params)

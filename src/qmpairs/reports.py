@@ -5,8 +5,13 @@ forms.  Nothing raises on a violated relation, since expected failures
 (the Type III off-diagonal witness) are part of the contract.  Every
 report carries the suite name, the family, the integer parameters and,
 when violated, both reduced sides.
+
+Suite runners are generators, so that a caller can write each report
+as soon as it is decided; streamed() turns one into the list-returning
+function the package exports, with the generator itself as .stream.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 HOLDS = "holds"
@@ -42,3 +47,14 @@ def compare(lhs, rhs, suite, family, params, relation, expected=False):
                               expected)
     return RelationReport(suite, family, dict(params), relation, VIOLATED,
                           expected, lhs.text(), rhs.text())
+
+
+def streamed(runner):
+    """A list-returning suite function whose reports come from the
+    generator runner, which stays reachable as .stream."""
+    @functools.wraps(runner)
+    def collect(*args, **kwargs):
+        return list(runner(*args, **kwargs))
+
+    collect.stream = runner
+    return collect

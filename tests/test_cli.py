@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
-from qmpairs import cli
+import pytest
+
+from qmpairs import TYPE_II, cli, verify_prop1, verify_theorem2
 from qmpairs.cli import main, collect_reports, suites_for
 from qmpairs.mq2 import QGElement
+from qmpairs.reports import RelationReport
 
 SCHEMA_KEYS = {"suite", "family", "params", "relation", "status",
                "expected", "lhs", "rhs"}
@@ -218,3 +222,108 @@ def test_repeated_calls_match_fresh_calls(capsys, monkeypatch):
             printed = capsys.readouterr()
             assert printed.out == "", argv
             assert (code, out.getvalue(), printed.err) == want, argv
+
+
+def test_usage_errors_write_nothing():
+    """Usage errors are raised before the first report line: the argv of
+    test_usage_errors_exit_2 exit 2 with nothing on out."""
+    for argv in (
+        ["verify", "--suite", "prop1"],
+        ["verify", "--suite", "prop2", "--type", "II"],
+        ["verify", "--suite", "theorem3", "--type", "III"],
+        ["verify", "--suite", "prop1", "--type", "I", "--range", "0"],
+        ["verify", "--suite", "nope", "--type", "I"],
+        ["modular", "--type", "III", "--word", "S"],
+        ["modular", "--type", "I", "--word", "SQT"],
+        ["reduce", "--type", "IV", "a1"],
+        ["bogus"],
+    ):
+        assert _run(argv) == (2, ""), argv
+
+
+def test_engine_error_mid_stream_keeps_written_lines(capsys, monkeypatch):
+    first = RelationReport("prop1", "I", {"n": 0}, "x = x")
+
+    def failing(suite, family_token, power_range):
+        yield first
+        raise ValueError("engine failure")
+
+    monkeypatch.setattr(cli, "stream_reports", failing)
+    code, out = _run(["verify", "--suite", "prop1", "--type", "I",
+                      "--format", "json"])
+    assert (code, out) == (1, cli._report_json(first) + "\n")
+    assert capsys.readouterr().err == "error: ValueError: engine failure\n"
+
+
+def _encoded(report):
+    return json.dumps({
+        "suite": report.suite, "family": report.family,
+        "params": report.params, "relation": report.relation,
+        "status": report.status, "expected": report.expected,
+        "lhs": report.lhs, "rhs": report.rhs}, sort_keys=True)
+
+
+@pytest.mark.parametrize("family", ["I", "II", "III"])
+def test_report_json_matches_encoder(family):
+    for suite in suites_for(family):
+        for report in collect_reports(suite, family, 2):
+            assert cli._report_json(report) == _encoded(report)
+
+
+def test_report_json_matches_encoder_on_made_up_reports():
+    texts = ('quote " here', "back\\slash", "two\nlines", "q\u00b2 \u2260 1",
+             "tab\t\u0001")
+    reports = [RelationReport("s", "I", {}, "r")]
+    for text in texts:
+        reports += [
+            RelationReport("s", "II", {"n": -1}, text),
+            RelationReport("s", "III", {"n": 2, "m": 0}, "r", "violated",
+                           False, text, "rhs"),
+            RelationReport("s", "I", {}, "r", "violated", True, "lhs", text),
+        ]
+    for report in reports:
+        assert cli._report_json(report) == _encoded(report)
+
+
+def test_suite_functions_return_the_collected_stream():
+    stream = verify_theorem2.stream(TYPE_II, 1)
+    assert not isinstance(stream, list)
+    assert list(stream) == verify_theorem2(TYPE_II, 1)
+    assert isinstance(verify_prop1(TYPE_II, 1), list)
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_verify_streams_in_bounded_memory():
+    """Reports are written as they are decided, not kept: the theorem2
+    grid at range 2 (8,125 reports) stays under 1 MB of Python heap."""
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--suite", "theorem2", "--type", "I",
+                     "--range", "2", "--format", "json"], out=_Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
+
+
+def test_closed_pipe_stops_quietly():
+    """A reader that stops after one line ends the run without a
+    traceback: exit 1 and nothing on stderr."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "qmpairs.cli", "verify", "--suite",
+             "theorem2", "--type", "I", "--range", "3", "--format", "json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert json.loads(line)["suite"] == "theorem2"
+    assert b"Traceback" not in err
+    assert (code, err) == (1, b"")
