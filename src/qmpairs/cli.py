@@ -50,6 +50,10 @@ _REPORT_LINE = ('{"expected": %s, "family": %s, "lhs": %s, "params": %s, '
                 '"relation": %s, "rhs": %s, "status": %s, "suite": %s}')
 
 
+# params values whose JSON is fixed by their type and ==
+_FLAT_TYPES = frozenset((int, bool, str))
+
+
 class UsageError(ValueError):
     """Command combination outside the contract; maps to exit 2."""
 
@@ -101,13 +105,14 @@ def suites_for(family_token):
     return out
 
 
-def _report_json(report):
-    """The bytes _ENCODER.encode writes for the report's eight fields."""
+def _report_json(report, params):
+    """The bytes _ENCODER.encode writes for the report's eight fields,
+    given params, the encoded report.params."""
     lhs, rhs = report.lhs, report.rhs
     return _REPORT_LINE % (
         "true" if report.expected else "false", _STRING(report.family),
         "null" if lhs is None else _STRING(lhs),
-        _ENCODER.encode(report.params), _STRING(report.relation),
+        params, _STRING(report.relation),
         "null" if rhs is None else _STRING(rhs),
         _STRING(report.status), _STRING(report.suite))
 
@@ -129,9 +134,16 @@ def _report_text(report):
 
 def emit_reports(reports, fmt, out):
     """Write each report of the iterable as it arrives, counting as it
-    goes; text output ends with a summary line."""
+    goes; text output ends with a summary line.
+
+    Consecutive reports often share their params, so the JSON of the
+    last params is kept and reused while the next params have the same
+    items, with keys and values of the same flat types: equal values of
+    other types can encode differently (1 and True, 0.0 and -0.0).
+    """
     checked = failed = expected = 0
     write = out.write
+    last_key = last_params = None
     for report in reports:
         checked += 1
         if report.status != "holds":
@@ -140,7 +152,13 @@ def emit_reports(reports, fmt, out):
             else:
                 failed += 1
         if fmt == "json":
-            write(_report_json(report) + "\n")
+            params = report.params
+            types = (*map(type, params), *map(type, params.values()))
+            key = (types, tuple(params.items()))
+            if key != last_key:
+                last_params = _ENCODER.encode(params)
+                last_key = key if _FLAT_TYPES.issuperset(types) else None
+            write(_report_json(report, last_params) + "\n")
         else:
             write(_report_text(report) + "\n")
     if fmt == "text":

@@ -328,46 +328,82 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
     entry product is the reduced product of two entries of the matrix.
     """
     entries = matrix.entries()
-    return _check_relations(lambda x, y: entries[x] * entries[y],
-                            half_q_exponent, suite, params, expected, tag)
+    return _check_relations(
+        _entry_combination(lambda x, y: entries[x] * entries[y]),
+        half_q_exponent, suite, params, expected, tag)
 
 
-def _check_relations(product, half, suite, params, expected, tag):
-    """check_R's relations, with product(x, y) the reduced product of the
-    entries x and y, indexed 0..3 for M11, M12, M21, M22."""
-    params = params or {}
-    gap = q_pow(half) - q_pow(-half)
+def _relation_table(half):
+    """check_R's relations at Q = s^half as rows (relation, lhs, rhs).
+
+    Each side is a list of (x, y, factor) terms, the sum of factor times
+    the product of the entries x and y, indexed 0..3 for M11, M12, M21,
+    M22; a relation holds when lhs minus rhs is zero.
+    """
+    q = q_pow(half)
     sub = "Q=s^%d" % half
-    bc = product(1, 2)
-
-    def times_q(x, y):
-        # Q * product(x, y): Q = s^half is one term, so shift each term
-        return _wrap_element({mono: coeff.shift(half) for mono, coeff
-                              in product(x, y).terms.items()})
-
-    checks = [
-        ("M11*M12 = Q*M12*M11 [%s]" % sub, product(0, 1), times_q(1, 0)),
-        ("M11*M21 = Q*M21*M11 [%s]" % sub, product(0, 2), times_q(2, 0)),
-        ("M12*M21 = M21*M12", bc, product(2, 1)),
-        ("M12*M22 = Q*M22*M12 [%s]" % sub, product(1, 3), times_q(3, 1)),
-        ("M21*M22 = Q*M22*M21 [%s]" % sub, product(2, 3), times_q(3, 2)),
+    return [
+        ("M11*M12 = Q*M12*M11 [%s]" % sub, [(0, 1, ONE)], [(1, 0, q)]),
+        ("M11*M21 = Q*M21*M11 [%s]" % sub, [(0, 2, ONE)], [(2, 0, q)]),
+        ("M12*M21 = M21*M12", [(1, 2, ONE)], [(2, 1, ONE)]),
+        ("M12*M22 = Q*M22*M12 [%s]" % sub, [(1, 3, ONE)], [(3, 1, q)]),
+        ("M21*M22 = Q*M22*M21 [%s]" % sub, [(2, 3, ONE)], [(3, 2, q)]),
         ("M11*M22 - M22*M11 = (Q-Q^-1)*M12*M21 [%s]" % sub,
-         product(0, 3) - product(3, 0), bc.scale(gap)),
+         [(0, 3, ONE), (3, 0, -ONE)], [(1, 2, q - q_pow(-half))]),
     ]
-    return [compare(lhs, rhs, suite, MQ2, params, tag + rel, expected)
-            for rel, lhs, rhs in checks]
+
+
+def _check_relations(combination, half, suite, params, expected, tag):
+    """check_R's six relations, each decided by one signed sum.
+
+    combination(terms) is the reduced element sum(factor * M_x M_y) over
+    a list of (x, y, factor) terms (see _relation_table).  Each relation
+    is decided by combination(lhs - rhs) alone, so its two sides are
+    never held at once.  This is exact: the normal-form monomials, of
+    the doubled algebra with its primed block, are a basis over
+    Z[s^+-1], and accumulate drops every zero coefficient, so the signed
+    sum comes out empty exactly when the two sides have equal canonical
+    forms.  Only a violated relation forms its lhs and rhs,
+    with the same combination, so that compare gives its report both
+    reduced sides.
+    """
+    params = params or {}
+    out = []
+    for relation, lhs, rhs in _relation_table(half):
+        relation = tag + relation
+        if combination(lhs + [(x, y, -f) for x, y, f in rhs]):
+            out.append(compare(combination(lhs), combination(rhs), suite,
+                               MQ2, params, relation, expected))
+        else:
+            out.append(RelationReport(suite, MQ2, dict(params), relation,
+                                      HOLDS, expected))
+    return out
+
+
+def _entry_combination(product):
+    """combination(terms) for _check_relations, from product(x, y), the
+    reduced product of the entries x and y."""
+    def combination(terms):
+        out = {}
+        for x, y, factor in terms:
+            for mono, coeff in product(x, y).terms.items():
+                accumulate(out, mono, coeff * factor)
+        return _wrap_element(out)
+
+    return combination
 
 
 def _entry_products(matrix):
     """The 16 reduced products of two entries, keyed (x, y) as in
-    _check_relations."""
+    _relation_table."""
     entries = matrix.entries()
     return {(x, y): entries[x] * entries[y]
             for x in range(4) for y in range(4)}
 
 
-def _coproduct_products(products):
-    """product(x, y) over the entries of M = X X', for _check_relations.
+def _coproduct_combination(products):
+    """combination(terms) over the entries of M = X X', for
+    _check_relations.
 
     X has unprimed entries only, as U^n, and products is its
     _entry_products table.  X' is X with every letter primed, as U'^n,
@@ -381,25 +417,29 @@ def _coproduct_products(products):
     monomial is the two blocks side by side.  This is the statement that
     the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map, and it
     is exact: the result is the same reduced element as the direct
-    product of the two big entries.  The join only concatenates blocks
-    and multiplies coefficients.
+    products of the big entries.  One pass joins every term of the sum
+    into one dict: it multiplies each left coefficient by the term's
+    factor once, then only concatenates blocks and multiplies
+    coefficients.  No M_ij M_kl is formed on its own.
     """
     blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
               for key, value in products.items()}
 
-    def product(x, y):
-        i, j = divmod(x, 2)
-        k, l = divmod(y, 2)
+    def combination(terms):
         out = {}
-        for a in (0, 1):
-            for b in (0, 1):
-                right = blocks[2 * a + j, 2 * b + l]
-                for block, coeff in blocks[2 * i + a, 2 * k + b]:
-                    for pblock, pcoeff in right:
-                        accumulate(out, block + pblock, coeff * pcoeff)
+        for x, y, factor in terms:
+            i, j = divmod(x, 2)
+            k, l = divmod(y, 2)
+            for a in (0, 1):
+                for b in (0, 1):
+                    right = blocks[2 * a + j, 2 * b + l]
+                    for block, coeff in blocks[2 * i + a, 2 * k + b]:
+                        coeff = coeff * factor
+                        for pblock, pcoeff in right:
+                            accumulate(out, block + pblock, coeff * pcoeff)
         return _wrap_element(out)
 
-    return product
+    return combination
 
 
 @streamed
@@ -411,11 +451,18 @@ def verify_results(n_range, suite=MQ2):
     Centrality of the quantum determinant and exactness of the displayed
     inverse are checked alongside.  The products of two entries of U^n
     are reduced once per n and serve both rows: the U^n relations read
-    them directly, and the entry products of U^n U'^n are joined from
-    them through the coproduct (_coproduct_products), never formed from
+    them directly, and the U^n U'^n relations are joined from them
+    through the coproduct (_coproduct_combination), never formed from
     the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
-    and primed letters commute with unprimed ones, so the joined products
-    are exactly the direct ones.
+    and primed letters commute with unprimed ones, so the join is exact.
+
+    Each of the six relations is one row of _relation_table, a signed
+    sum of entry products that must vanish, and _check_relations decides
+    it by forming that one sum: its dict comes out empty exactly when
+    the two sides are equal, since the normal-form monomials are a basis
+    and zero coefficients are dropped.  So no more than one joined sum
+    is held at a time.  A violated row falls back to forming both sides
+    and comparing them, for the report's lhs and rhs texts.
     """
     dq = quantum_determinant_element()
     for name in ("a", "b", "c", "d", "Di"):
@@ -429,9 +476,10 @@ def verify_results(n_range, suite=MQ2):
     yield compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I")
     for n in range(-n_range, n_range + 1):
         products = _entry_products(fm_pow(u, n, uinv))
-        yield from _check_relations(lambda x, y: products[x, y], 2 * n,
-                                    suite, {"n": n}, False, "U^n: ")
-        yield from _check_relations(_coproduct_products(products), 2 * n,
+        yield from _check_relations(
+            _entry_combination(lambda x, y: products[x, y]), 2 * n, suite,
+            {"n": n}, False, "U^n: ")
+        yield from _check_relations(_coproduct_combination(products), 2 * n,
                                     suite, {"n": n}, False, "U^n*U'^n: ")
 
 

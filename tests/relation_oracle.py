@@ -1,0 +1,44 @@
+"""The two-sided relation check: the reference mq2._check_relations is
+tested against.
+
+It forms both sides of each of the six defining relations as whole
+reduced elements, from product(x, y), the reduced product of the
+entries x and y (0..3 for M11, M12, M21, M22), and hands them to
+reports.compare.  It shares no code with the signed sums of
+mq2._relation_table; the relation texts and their order are the
+contract both must keep.
+"""
+
+from qmpairs.reports import compare
+from qmpairs.scalars import q_pow
+
+
+def check_relations(product, half, suite, params, expected, tag):
+    gap = q_pow(half) - q_pow(-half)
+    q = q_pow(half)
+    sub = "Q=s^%d" % half
+    bc = product(1, 2)
+    checks = [
+        ("M11*M12 = Q*M12*M11 [%s]" % sub, product(0, 1),
+         product(1, 0).scale(q)),
+        ("M11*M21 = Q*M21*M11 [%s]" % sub, product(0, 2),
+         product(2, 0).scale(q)),
+        ("M12*M21 = M21*M12", bc, product(2, 1)),
+        ("M12*M22 = Q*M22*M12 [%s]" % sub, product(1, 3),
+         product(3, 1).scale(q)),
+        ("M21*M22 = Q*M22*M21 [%s]" % sub, product(2, 3),
+         product(3, 2).scale(q)),
+        ("M11*M22 - M22*M11 = (Q-Q^-1)*M12*M21 [%s]" % sub,
+         product(0, 3) - product(3, 0), bc.scale(gap)),
+    ]
+    return [compare(lhs, rhs, suite, "mq2", params or {}, tag + rel,
+                    expected)
+            for rel, lhs, rhs in checks]
+
+
+def check_matrix(matrix, half, suite="mq2", params=None, expected=False,
+                 tag=""):
+    """check_relations on the entries of a FullMatrix, as check_R."""
+    entries = matrix.entries()
+    return check_relations(lambda x, y: entries[x] * entries[y], half, suite,
+                           params, expected, tag)

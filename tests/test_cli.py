@@ -251,7 +251,7 @@ def test_engine_error_mid_stream_keeps_written_lines(capsys, monkeypatch):
     monkeypatch.setattr(cli, "stream_reports", failing)
     code, out = _run(["verify", "--suite", "prop1", "--type", "I",
                       "--format", "json"])
-    assert (code, out) == (1, cli._report_json(first) + "\n")
+    assert (code, out) == (1, _encoded(first) + "\n")
     assert capsys.readouterr().err == "error: ValueError: engine failure\n"
 
 
@@ -263,11 +263,18 @@ def _encoded(report):
         "lhs": report.lhs, "rhs": report.rhs}, sort_keys=True)
 
 
+def _json_lines(reports):
+    """The JSON lines emit_reports writes for the reports."""
+    out = io.StringIO()
+    cli.emit_reports(reports, "json", out)
+    return out.getvalue().splitlines()
+
+
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_report_json_matches_encoder(family):
     for suite in suites_for(family):
-        for report in collect_reports(suite, family, 2):
-            assert cli._report_json(report) == _encoded(report)
+        reports = collect_reports(suite, family, 2)
+        assert _json_lines(reports) == [_encoded(r) for r in reports]
 
 
 def test_report_json_matches_encoder_on_made_up_reports():
@@ -281,8 +288,23 @@ def test_report_json_matches_encoder_on_made_up_reports():
                            False, text, "rhs"),
             RelationReport("s", "I", {}, "r", "violated", True, "lhs", text),
         ]
-    for report in reports:
-        assert cli._report_json(report) == _encoded(report)
+    assert _json_lines(reports) == [_encoded(r) for r in reports]
+
+
+def test_params_json_is_reused_only_for_identical_bytes():
+    """Consecutive params that are equal but encode differently, or that
+    differ only in key order, each get their own encoding."""
+    runs = [
+        [{"n": 1}, {"n": True}, {"n": 1}, {"n": False}, {"n": 0}],
+        [{"n": 1, "m": 2}, {"m": 2, "n": 1}, {"n": 1, "m": 2}],
+        [{1: 0}, {True: 0}, {1.0: 0}, {1: 0}],
+        [{"n": 0.0}, {"n": -0.0}, {"n": 0}, {"n": 0.0}],
+        [{"n": [1]}, {"n": [True]}, {"n": [1.0]}, {"n": [1]}],
+        [{"n": "1"}, {"n": 1}, {"n": "1"}, {}, {}],
+    ]
+    for run in runs:
+        reports = [RelationReport("s", "I", params, "r") for params in run]
+        assert _json_lines(reports) == [_encoded(r) for r in reports], run
 
 
 def test_suite_functions_return_the_collected_stream():

@@ -6,6 +6,8 @@ recorded from the initial engine.  They cover every suite of
 `theorem2` grid at range 3, where members and their internal checks are
 reused across quadruples, and the background grid at range 4, whose
 mixed rows U^n U'^n with |n| >= 3 are checked through the coproduct.
+The background grid at range 5 was recorded from the engine that formed
+both sides of every relation before comparing them.
 """
 
 import hashlib
@@ -26,6 +28,9 @@ THEOREM2_I_RANGE3_SHA256 = (
 
 MQ2_RANGE4_SHA256 = (
     "5657f937fda132416395fcc8ac3801acf45adb8d8cb6795077b11dace85958f1")
+
+MQ2_RANGE5_SHA256 = (
+    "348818b9cd6f8cdd6b5272d7b556955f65be1a56e5c89d4a0232da612657b612")
 
 
 def _json_digest(argv):
@@ -52,3 +57,9 @@ def test_verify_mq2_range4_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "mq2", "--range", "4",
                            "--format", "json"])
     assert digest == MQ2_RANGE4_SHA256
+
+
+def test_verify_mq2_range5_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "mq2", "--range", "5",
+                           "--format", "json"])
+    assert digest == MQ2_RANGE5_SHA256

@@ -1,6 +1,7 @@
 """Background PBW engine: rewriting, inverses, determinant, relation grids."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,8 +10,11 @@ from qmpairs.mq2 import (
     QGElement, FullMatrix, generator_full_matrix, qg_inverse_matrix,
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
-    _check_relations, _coproduct_products, _entry_products,
+    _block_mul, _check_relations, _coproduct_combination, _entry_combination,
+    _entry_products,
 )
+
+from relation_oracle import check_matrix, check_relations
 
 gen = QGElement.generator
 
@@ -182,16 +186,34 @@ def test_d_free_large_exponent_is_one_term():
         {(10000, 1) + (0,) * 8: q_pow(-20000)}
 
 
-def _mixed(n):
-    """U^n and U'^n, the factors of the mixed matrix U^n U'^n."""
+def _mixed(n, fault=False):
+    """U^n and U'^n, the factors of the mixed matrix U^n U'^n; with fault,
+    M12 of each carries an extra b (b' in the primed one)."""
     x = fm_pow(generator_full_matrix(), n, qg_inverse_matrix())
     y = fm_pow(generator_full_matrix(primed=True), n,
                qg_inverse_matrix(primed=True))
+    if fault:
+        x = FullMatrix(x.e11, x.e12 + gen("b"), x.e21, x.e22)
+        y = FullMatrix(y.e11, y.e12 + gen("b'"), y.e21, y.e22)
     return x, y
 
 
+def _table_reports(x, half, tag):
+    """The U^n row of verify_results: signed sums of entry products."""
+    products = _entry_products(x)
+    return _check_relations(_entry_combination(lambda i, k: products[i, k]),
+                            half, "mq2", {"n": 0}, False, tag)
+
+
+def _coproduct_reports(x, half, tag):
+    """The U^n*U'^n row of verify_results: one coproduct join per row."""
+    return _check_relations(_coproduct_combination(_entry_products(x)),
+                            half, "mq2", {"n": 0}, False, tag)
+
+
 def test_coproduct_products_match_direct_products():
-    """The factored entry products of U^n U'^n against the direct ones.
+    """The joined entry products of U^n U'^n against the direct ones, and
+    the relation reports against the two-sided oracle.
 
     The join reads only the products of two U^n entries; U'^n enters
     through the direct product x * y alone.
@@ -200,28 +222,78 @@ def test_coproduct_products_match_direct_products():
         x, y = _mixed(n)
         mixed = x * y
         entries = mixed.entries()
-        product = _coproduct_products(_entry_products(x))
+        combination = _coproduct_combination(_entry_products(x))
         for i in range(4):
             for k in range(4):
-                assert product(i, k) == entries[i] * entries[k], (n, i, k)
+                assert combination([(i, k, ONE)]) == \
+                    entries[i] * entries[k], (n, i, k)
+        assert combination([(0, 3, ONE), (3, 0, -ONE), (1, 2, q_pow(n))]) \
+            == entries[0] * entries[3] - entries[3] * entries[0] \
+            + (entries[1] * entries[2]).scale(q_pow(n))
         params = {"n": n}
-        assert _check_relations(product, 2 * n, "mq2", params, False,
+        assert _check_relations(combination, 2 * n, "mq2", params, False,
                                 "U^n*U'^n: ") == \
-            check_R(mixed, 2 * n, "mq2", params, tag="U^n*U'^n: ")
+            check_matrix(mixed, 2 * n, "mq2", params, tag="U^n*U'^n: ")
 
 
 def test_coproduct_violation_text_matches_direct_path():
-    """At a wrong parameter both paths carry the same canonical sides."""
-    for n in (2, -2):
+    """At the wrong parameter 2n + 2 both rows carry the oracle's reports,
+    violated sides and their texts included."""
+    for n in range(-3, 4):
         x, y = _mixed(n)
         half = 2 * n + 2
-        factored = _check_relations(_coproduct_products(_entry_products(x)),
-                                    half, "mq2", {"n": n}, False,
-                                    "U^n*U'^n: ")
-        direct = check_R(x * y, half, "mq2", {"n": n}, tag="U^n*U'^n: ")
-        assert factored == direct
-        violated = _bad(factored)
-        assert violated and all(r.lhs and r.rhs for r in violated)
+        factored = _coproduct_reports(x, half, "U^n*U'^n: ")
+        assert factored == check_matrix(x * y, half, params={"n": 0},
+                                        tag="U^n*U'^n: ")
+        table = _table_reports(x, half, "U^n: ")
+        assert table == check_matrix(x, half, params={"n": 0}, tag="U^n: ")
+        for reports in (factored, table):
+            violated = _bad(reports)
+            assert all(r.lhs and r.rhs for r in violated)
+            # U^0 is the identity, whose scalar entries obey every Q
+            assert bool(violated) == (n != 0), n
+
+
+def test_relation_table_matches_two_sided_oracle():
+    """The signed-sum rows against forming both sides and comparing them,
+    for U^n at the right and the wrong parameter, and for check_R."""
+    for n in range(-3, 4):
+        x, _ = _mixed(n)
+        products = _entry_products(x)
+        for half in (2 * n, 2 * n + 2):
+            want = check_relations(lambda i, k: products[i, k], half, "mq2",
+                                   {"n": 0}, False, "U^n: ")
+            assert _table_reports(x, half, "U^n: ") == want, (n, half)
+            assert check_R(x, half, "mq2", {"n": 0}, tag="U^n: ") == want
+
+
+def test_planted_fault_matches_two_sided_oracle():
+    """M12 of U^n perturbed by + b: the table row, check_R and the
+    coproduct row report what the oracle reports, violations included."""
+    for n in range(-3, 4):
+        x, y = _mixed(n, fault=True)
+        table = _table_reports(x, 2 * n, "U^n: ")
+        assert table == check_matrix(x, 2 * n, params={"n": 0}, tag="U^n: ")
+        assert check_R(x, 2 * n, params={"n": 0}, tag="U^n: ") == table
+        factored = _coproduct_reports(x, 2 * n, "U^n*U'^n: ")
+        assert factored == check_matrix(x * y, 2 * n, params={"n": 0},
+                                        tag="U^n*U'^n: ")
+        # at n = 0, Q = 1 and [[1, b], [0, 1]] still obeys every relation
+        assert bool(_bad(table)) == bool(_bad(factored)) == (n != 0), n
+
+
+def test_background_grid_in_bounded_memory():
+    """Each relation is decided from one signed sum, so the range-4 grid
+    stays under 3 MB of Python heap once the block cache starts empty."""
+    _block_mul.cache_clear()
+    tracemalloc.start()
+    try:
+        reports = list(verify_results.stream(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not _bad(reports)
+    assert peak < 3 << 20, peak
 
 
 def test_element_associativity_sample():
