@@ -21,7 +21,7 @@ import operator
 from functools import lru_cache
 
 from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
-                      power, ONE)
+                      power, unit_ratio, ONE)
 from .reports import RelationReport, HOLDS, VIOLATED, compare, streamed
 
 MQ2 = "mq2"
@@ -401,6 +401,43 @@ def _entry_products(matrix):
             for x in range(4) for y in range(4)}
 
 
+def _unit_multiples(products):
+    """{key: (rep, unit)} over products, an _entry_products table, with
+    products[key] == unit * products[rep] and unit = +-s^k.
+
+    rep is the first earlier representative that products[key] is found
+    to be such a multiple of, term by term (see scalars.unit_ratio), or
+    key itself.
+    """
+    reps, firsts = {}, []
+    for key, value in products.items():
+        for rep in firsts:
+            unit = _element_ratio(products[rep].terms, value.terms)
+            if unit is not None:
+                reps[key] = (rep, unit)
+                break
+        else:
+            reps[key] = (key, ONE)
+            firsts.append(key)
+    return reps
+
+
+def _element_ratio(x, y):
+    """The unit u with y == u * x, for two element term dicts, or None."""
+    if not x or len(x) != len(y):
+        return None
+    unit = None
+    for mono, coeff in y.items():
+        base = x.get(mono)
+        if base is None:
+            return None
+        ratio = unit_ratio(base, coeff)
+        if ratio is None or (unit is not None and ratio != unit):
+            return None
+        unit = ratio
+    return unit
+
+
 def _coproduct_combination(products):
     """combination(terms) over the entries of M = X X', for
     _check_relations.
@@ -415,28 +452,55 @@ def _coproduct_combination(products):
 
     where the normal form of an unprimed-only times a primed-only
     monomial is the two blocks side by side.  This is the statement that
-    the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map, and it
-    is exact: the result is the same reduced element as the direct
-    products of the big entries.  One pass joins every term of the sum
-    into one dict: it multiplies each left coefficient by the term's
-    factor once, then only concatenates blocks and multiplies
-    coefficients.  No M_ij M_kl is formed on its own.
+    the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map.
+
+    A row sum(f_t M_x M_y) is thus a sum of tensors f u (x) w, with
+    u = X_ia X_kb and w = X_aj X_bl, four to a term.  The tensors are
+    grouped by u or by w, whichever side gives fewer groups, where a
+    fixed factor that is a unit +-s^k times an earlier one
+    (_unit_multiples) joins the earlier one's group with its f times that
+    unit.  Each group sums its other side into one block dict, and only
+    the groups whose sum is not zero are joined with their fixed factor:
+    for the relations of U^n most rows have none left.  By bilinearity
+    over Z[s^+-1],
+    sum_t f_t u_t (x) w_t = sum_g u_g (x) (sum_(t in g) f_t c_t w_t) with
+    u_t = c_t u_g, and a zero sum adds nothing, so the result is the same
+    reduced element as the expansion of every tensor, and the same as the
+    direct products of the big entries: the normal-form monomials are a
+    basis and accumulate drops zero coefficients.  No M_ij M_kl is formed
+    on its own.
     """
     blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
               for key, value in products.items()}
+    reps = _unit_multiples(products)
 
     def combination(terms):
-        out = {}
+        tensors = []
         for x, y, factor in terms:
             i, j = divmod(x, 2)
             k, l = divmod(y, 2)
-            for a in (0, 1):
-                for b in (0, 1):
-                    right = blocks[2 * a + j, 2 * b + l]
-                    for block, coeff in blocks[2 * i + a, 2 * k + b]:
-                        coeff = coeff * factor
-                        for pblock, pcoeff in right:
-                            accumulate(out, block + pblock, coeff * pcoeff)
+            tensors += [((2 * i + a, 2 * k + b), (2 * a + j, 2 * b + l),
+                         factor) for a in (0, 1) for b in (0, 1)]
+        swapped = len({reps[w][0] for _, w, _ in tensors}) < \
+            len({reps[u][0] for u, _, _ in tensors})
+        sums = {}
+        for u, w, factor in tensors:
+            fixed, other = (w, u) if swapped else (u, w)
+            rep, unit = reps[fixed]
+            if not blocks[rep]:
+                continue
+            factor = factor * unit
+            group = sums.setdefault(rep, {})
+            for block, coeff in blocks[other]:
+                accumulate(group, block, coeff * factor)
+        out = {}
+        for rep, group in sums.items():
+            left, right = blocks[rep], group.items()
+            if swapped:
+                left, right = right, left
+            for block, coeff in left:
+                for pblock, pcoeff in right:
+                    accumulate(out, block + pblock, coeff * pcoeff)
         return _wrap_element(out)
 
     return combination
@@ -455,6 +519,9 @@ def verify_results(n_range, suite=MQ2):
     through the coproduct (_coproduct_combination), never formed from
     the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
     and primed letters commute with unprimed ones, so the join is exact.
+    The join groups a row's tensors by their shared factors, merges the
+    groups whose factors differ by a unit +-s^k, and expands only the
+    groups whose sums are not zero.
 
     Each of the six relations is one row of _relation_table, a signed
     sum of entry products that must vanish, and _check_relations decides

@@ -1,16 +1,20 @@
-"""The two-sided relation check: the reference mq2._check_relations is
-tested against.
+"""The references the background relation checks are tested against.
 
-It forms both sides of each of the six defining relations as whole
-reduced elements, from product(x, y), the reduced product of the
-entries x and y (0..3 for M11, M12, M21, M22), and hands them to
-reports.compare.  It shares no code with the signed sums of
-mq2._relation_table; the relation texts and their order are the
-contract both must keep.
+check_relations is the two-sided relation check, the reference
+mq2._check_relations is tested against.  It forms both sides of each of
+the six defining relations as whole reduced elements, from
+product(x, y), the reduced product of the entries x and y (0..3 for M11,
+M12, M21, M22), and hands them to reports.compare.  It shares no code
+with the signed sums of mq2._relation_table; the relation texts and
+their order are the contract both must keep.
+
+plain_join is the coproduct join that expands every tensor, the
+reference mq2._coproduct_combination is tested against.
 """
 
+from qmpairs.mq2 import QGElement
 from qmpairs.reports import compare
-from qmpairs.scalars import q_pow
+from qmpairs.scalars import accumulate, q_pow
 
 
 def check_relations(product, half, suite, params, expected, tag):
@@ -42,3 +46,32 @@ def check_matrix(matrix, half, suite="mq2", params=None, expected=False,
     entries = matrix.entries()
     return check_relations(lambda x, y: entries[x] * entries[y], half, suite,
                            params, expected, tag)
+
+
+def plain_join(products):
+    """combination(terms) over the entries of X X', X' the primed copy of
+    X, from products, the 16 reduced products of two entries of X keyed
+    (x, y).
+
+    Every term (x, y, factor) expands into its four tensors
+    factor (X_ia X_kb) (x) (X'_aj X'_bl), each joined monomial by
+    monomial into one dict, with no grouping and no merging.
+    """
+    blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
+              for key, value in products.items()}
+
+    def combination(terms):
+        out = {}
+        for x, y, factor in terms:
+            i, j = divmod(x, 2)
+            k, l = divmod(y, 2)
+            for a in (0, 1):
+                for b in (0, 1):
+                    right = blocks[2 * a + j, 2 * b + l]
+                    for block, coeff in blocks[2 * i + a, 2 * k + b]:
+                        coeff = coeff * factor
+                        for pblock, pcoeff in right:
+                            accumulate(out, block + pblock, coeff * pcoeff)
+        return QGElement(out)
+
+    return combination

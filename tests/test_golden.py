@@ -7,7 +7,9 @@ recorded from the initial engine.  They cover every suite of
 reused across quadruples, and the background grid at range 4, whose
 mixed rows U^n U'^n with |n| >= 3 are checked through the coproduct.
 The background grid at range 5 was recorded from the engine that formed
-both sides of every relation before comparing them.
+both sides of every relation before comparing them, and the grid at
+range 6 from the engine that expanded every tensor of the coproduct
+join, before it grouped them by shared factors.
 """
 
 import hashlib
@@ -31,6 +33,9 @@ MQ2_RANGE4_SHA256 = (
 
 MQ2_RANGE5_SHA256 = (
     "348818b9cd6f8cdd6b5272d7b556955f65be1a56e5c89d4a0232da612657b612")
+
+MQ2_RANGE6_SHA256 = (
+    "894fe5b9038a876972a000fc49ce11dbe808690e8244ceae0d7a9132e0bdff8a")
 
 
 def _json_digest(argv):
@@ -63,3 +68,9 @@ def test_verify_mq2_range5_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "mq2", "--range", "5",
                            "--format", "json"])
     assert digest == MQ2_RANGE5_SHA256
+
+
+def test_verify_mq2_range6_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "mq2", "--range", "6",
+                           "--format", "json"])
+    assert digest == MQ2_RANGE6_SHA256

@@ -1,5 +1,6 @@
 """Background PBW engine: rewriting, inverses, determinant, relation grids."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -11,10 +12,10 @@ from qmpairs.mq2 import (
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
     _block_mul, _check_relations, _coproduct_combination, _entry_combination,
-    _entry_products,
+    _entry_products, _relation_table,
 )
 
-from relation_oracle import check_matrix, check_relations
+from relation_oracle import check_matrix, check_relations, plain_join
 
 gen = QGElement.generator
 
@@ -186,15 +187,30 @@ def test_d_free_large_exponent_is_one_term():
         {(10000, 1) + (0,) * 8: q_pow(-20000)}
 
 
-def _mixed(n, fault=False):
-    """U^n and U'^n, the factors of the mixed matrix U^n U'^n; with fault,
-    M12 of each carries an extra b (b' in the primed one)."""
+# planted faults: (entry, letters), an extra product of the letters on
+# that entry (0..3 for M11, M12, M21, M22)
+FAULTS = ((1, "b"), (0, "b"), (2, "c"), (3, "bc"))
+
+
+def _perturbed(matrix, fault, suffix):
+    entry, letters = fault
+    extra = QGElement.one()
+    for letter in letters:
+        extra = extra * gen(letter + suffix)
+    entries = list(matrix.entries())
+    entries[entry] = entries[entry] + extra
+    return FullMatrix(*entries)
+
+
+def _mixed(n, fault=None):
+    """U^n and U'^n, the factors of the mixed matrix U^n U'^n; with a
+    fault from FAULTS, its entry of each carries the extra product (of
+    primed letters in the primed one)."""
     x = fm_pow(generator_full_matrix(), n, qg_inverse_matrix())
     y = fm_pow(generator_full_matrix(primed=True), n,
                qg_inverse_matrix(primed=True))
     if fault:
-        x = FullMatrix(x.e11, x.e12 + gen("b"), x.e21, x.e22)
-        y = FullMatrix(y.e11, y.e12 + gen("b'"), y.e21, y.e22)
+        x, y = _perturbed(x, fault, ""), _perturbed(y, fault, "'")
     return x, y
 
 
@@ -268,18 +284,57 @@ def test_relation_table_matches_two_sided_oracle():
 
 
 def test_planted_fault_matches_two_sided_oracle():
-    """M12 of U^n perturbed by + b: the table row, check_R and the
-    coproduct row report what the oracle reports, violations included."""
-    for n in range(-3, 4):
-        x, y = _mixed(n, fault=True)
+    """One entry of U^n perturbed (M12 + b, M11 + b, M21 + c, M22 + b*c):
+    the table row, check_R and the coproduct row report what the oracle
+    reports, violations included.  The faults break the +-s^k ratios
+    between entry products that the coproduct join merges groups by."""
+    for fault, n in itertools.product(FAULTS, range(-3, 4)):
+        x, y = _mixed(n, fault)
         table = _table_reports(x, 2 * n, "U^n: ")
         assert table == check_matrix(x, 2 * n, params={"n": 0}, tag="U^n: ")
         assert check_R(x, 2 * n, params={"n": 0}, tag="U^n: ") == table
         factored = _coproduct_reports(x, 2 * n, "U^n*U'^n: ")
         assert factored == check_matrix(x * y, 2 * n, params={"n": 0},
                                         tag="U^n*U'^n: ")
-        # at n = 0, Q = 1 and [[1, b], [0, 1]] still obeys every relation
-        assert bool(_bad(table)) == bool(_bad(factored)) == (n != 0), n
+        # at n = 0, Q = 1 and the identity plus one entry still obeys
+        # every relation, its entries commuting
+        assert bool(_bad(table)) == bool(_bad(factored)) == (n != 0), \
+            (fault, n)
+
+
+def _random_factor(rng):
+    k = rng.randint(-6, 6)
+    return rng.choice((ONE, -ONE, q_pow(k), -q_pow(k), q_pow(k) - q_pow(-k)))
+
+
+def _random_rows(rng, half, count):
+    """Signed term lists: the relation rows at half, random lists over the
+    16 (x, y) pairs, each with a pair repeated, and each cancelled to
+    zero by its own negation."""
+    rows = [lhs + [(x, y, -f) for x, y, f in rhs]
+            for _, lhs, rhs in _relation_table(half)]
+    for _ in range(count):
+        terms = [(rng.randrange(4), rng.randrange(4), _random_factor(rng))
+                 for _ in range(rng.randint(1, 4))]
+        x, y, _ = rng.choice(terms)
+        repeated = terms + [(x, y, _random_factor(rng))]
+        rows += [terms, repeated,
+                 repeated + [(x, y, -f) for x, y, f in repeated]]
+    return rows
+
+
+def test_grouped_join_matches_plain_join():
+    """The grouped coproduct join against the join that expands every
+    tensor, as elements, on U^n and on U^n with a planted fault."""
+    rng = random.Random(20261019)
+    for n in range(-3, 4):
+        for fault in (None,) + FAULTS:
+            products = _entry_products(_mixed(n, fault)[0])
+            grouped = _coproduct_combination(products)
+            plain = plain_join(products)
+            for half in (2 * n, 2 * n + 2):
+                for terms in _random_rows(rng, half, 4):
+                    assert grouped(terms) == plain(terms), (n, fault, terms)
 
 
 def test_background_grid_in_bounded_memory():
