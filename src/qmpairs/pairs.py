@@ -11,7 +11,7 @@ from .scalars import LaurentScalar, q_pow, r_pow
 from .algebra import TYPE_I, TYPE_II, TYPE_III, Element, generator
 from .matrices import UTMatrix, generator_matrix, closed_power, closed_product_entries
 from .reports import RelationReport, compare  # noqa: F401 (re-exported)
-from .reports import streamed
+from .reports import HOLDS, streamed
 
 
 class UnsupportedTransform(ValueError):
@@ -74,6 +74,21 @@ def _commutation_products(m1, m2):
             a2 * a1, a2 * b1, b2 * c1, c2 * c1)
 
 
+# The texts of the q-commutation and of the six mutual relations of a
+# pair (M, N) = ((A1, B1; 0, C1), (A2, B2; 0, C2)), in report order; %d
+# is the half q exponent h of Q = s^h.  _q_commutation, _mutual and the
+# twin path of verify_theorem2 all read them here.
+_Q_COMMUTATION = "M*N = s^%d * N*M"
+_MUTUAL = (
+    "A1*A2 = Q*A2*A1 [Q=s^%d]",
+    "A1*C2 = Q^-1*C2*A1 [Q=s^%d]",
+    "A2*C1 = Q*C1*A2 [Q=s^%d]",
+    "C1*C2 = Q*C2*C1 [Q=s^%d]",
+    "A1*B2 = Q*B2*C1 [Q=s^%d]",
+    "B1*C2 = Q*A2*B1 [Q=s^%d]",
+)
+
+
 def _q_commutation(products, half_q_exponent, suite, family, params,
                    expected=False):
     """M*N = (a1a2, a1b2 + b1c2; 0, c1c2) against
@@ -83,7 +98,7 @@ def _q_commutation(products, half_q_exponent, suite, family, params,
                    UTMatrix(a2a1, a2b1 + b2c1, c2c1).scale(
                        q_pow(half_q_exponent)),
                    suite, family, params,
-                   "M*N = s^%d * N*M" % half_q_exponent, expected)
+                   _Q_COMMUTATION % half_q_exponent, expected)
 
 
 def _mutual(products, u1, u2, half_q_exponent, suite, family, params,
@@ -95,17 +110,17 @@ def _mutual(products, u1, u2, half_q_exponent, suite, family, params,
     a1, c1, a2, c2 = u1.a11, u1.a22, u2.a11, u2.a22
     Q = q_pow(half_q_exponent)
     Qinv = q_pow(-half_q_exponent)
-    sub = "Q=s^%d" % half_q_exponent
-    checks = [
-        ("A1*A2 = Q*A2*A1 [%s]" % sub, a1a2, a2a1.scale(Q)),
-        ("A1*C2 = Q^-1*C2*A1 [%s]" % sub, a1 * c2, (c2 * a1).scale(Qinv)),
-        ("A2*C1 = Q*C1*A2 [%s]" % sub, a2 * c1, (c1 * a2).scale(Q)),
-        ("C1*C2 = Q*C2*C1 [%s]" % sub, c1c2, c2c1.scale(Q)),
-        ("A1*B2 = Q*B2*C1 [%s]" % sub, a1b2, b2c1.scale(Q)),
-        ("B1*C2 = Q*A2*B1 [%s]" % sub, b1c2, a2b1.scale(Q)),
-    ]
-    return [compare(lhs, rhs, suite, family, params, rel, expected)
-            for rel, lhs, rhs in checks]
+    sides = (
+        (a1a2, a2a1.scale(Q)),
+        (a1 * c2, (c2 * a1).scale(Qinv)),
+        (a2 * c1, (c1 * a2).scale(Q)),
+        (c1c2, c2c1.scale(Q)),
+        (a1b2, b2c1.scale(Q)),
+        (b1c2, a2b1.scale(Q)),
+    )
+    return [compare(lhs, rhs, suite, family, params,
+                    relation % half_q_exponent, expected)
+            for relation, (lhs, rhs) in zip(_MUTUAL, sides)]
 
 
 def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", family=None,
@@ -352,27 +367,60 @@ def verify_theorem2(family, power_range, suite="theorem2"):
     Per quadruple the run reduces the eight entry products of M*N and N*M
     once; the q-commutation sides are built from them, and the mutual
     relations reuse them and add the four diagonal cross products.
+
+    An off-diagonal quadruple and its twin (s, t, n, m) are decided
+    together.  Write M = (n, m), N = (s, t), h = 2(nt - ms) and Q = s^h;
+    the twin has exponent -h, and each of its seven pair relations is a
+    relation of (n, m, s, t) with both sides times the unit Q^-1:
+
+        twin relation             relation of (n, m, s, t)
+        N*M = Q^-1 M*N            M*N = Q N*M
+        A_N A_M = Q^-1 A_M A_N    A1*A2 = Q*A2*A1
+        A_N C_M = Q C_M A_N       A2*C1 = Q*C1*A2 (same two sides)
+        A_M C_N = Q^-1 C_N A_M    A1*C2 = Q^-1*C2*A1 (same two sides)
+        C_N C_M = Q^-1 C_M C_N    C1*C2 = Q*C2*C1
+        A_N B_M = Q^-1 B_M C_N    B1*C2 = Q*A2*B1
+        B_N C_M = Q^-1 A_M B_N    A1*B2 = Q*B2*C1
+
+    Multiplying by a unit is injective on canonical forms, so each row
+    has one outcome on both sides.  The keys of quadruples whose seven
+    relations all held are kept until the twin comes up; the twin then
+    reports them as holding under its own params and relation texts,
+    with nothing reduced.  A twin of a quadruple with any violation is
+    reduced in full, so its violations carry their own sides.  Diagonal
+    quadruples (n, m) = (s, t) and Type III have no twin in the grid.
+
     Reports keep the per-quadruple order: q-commutation, V1 internal, V2
-    internal, mutual.  Only the members and their internal reports are
-    kept across quadruples; every report is yielded as soon as it is
-    decided.
+    internal, mutual.  Only the members, their internal reports and the
+    pending twin keys are kept across quadruples; every report is
+    yielded as soon as it is decided.
     """
     pair = generator_pair(family)
     internal = {}
+    held = set()
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
         quads = ((n, 0, 0, n) for n in rng)
     else:
         quads = ((n, m, s, t) for n in rng for m in rng
                  for s in rng for t in rng)
+    mirrored = family is not TYPE_III
     for n, m, s, t in quads:
         derived = make_product_pair(pair, n, m, s, t)
         half = 2 * (n * t - m * s)
         params = {"n": n, "m": m, "s": s, "t": t}
         central, nd = family_internal_parameters(family, n)
         v1, v2 = derived.u1, derived.u2
-        products = _commutation_products(v1, v2)
-        yield _q_commutation(products, half, suite, family.value, params)
+        reused = (s, t, n, m) in held
+        if reused:
+            held.remove((s, t, n, m))
+            yield RelationReport(suite, family.value, dict(params),
+                                 _Q_COMMUTATION % half)
+        else:
+            products = _commutation_products(v1, v2)
+            first = _q_commutation(products, half, suite, family.value,
+                                   params)
+            yield first
         for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
             key = (tag, exps, central, nd)
             reports = internal.get(key)
@@ -383,4 +431,14 @@ def verify_theorem2(family, power_range, suite="theorem2"):
             else:
                 for report in reports:
                     yield report.with_params(params)
-        yield from _mutual(products, v1, v2, half, suite, family.value, params)
+        if reused:
+            for relation in _MUTUAL:
+                yield RelationReport(suite, family.value, dict(params),
+                                     relation % half)
+            continue
+        mutual = _mutual(products, v1, v2, half, suite, family.value, params)
+        yield from mutual
+        # the twin comes later in the grid exactly when (s, t) > (n, m)
+        if mirrored and (s, t) > (n, m) and first.status == HOLDS and \
+                all(report.status == HOLDS for report in mutual):
+            held.add((n, m, s, t))

@@ -12,22 +12,47 @@ function the package exports, with the generator itself as .stream.
 """
 
 import functools
-from dataclasses import dataclass, field
 
 HOLDS = "holds"
 VIOLATED = "violated"
 
+_FIELDS = ("suite", "family", "params", "relation", "status", "expected",
+           "lhs", "rhs")
 
-@dataclass(frozen=True)
+
 class RelationReport:
-    suite: str
-    family: str
-    params: dict = field(default_factory=dict)
-    relation: str = ""
-    status: str = HOLDS
-    expected: bool = False
-    lhs: str = None
-    rhs: str = None
+    """One relation's outcome: a plain record, read-only by convention.
+
+    Reports compare field by field, and only with reports; like the
+    dicts in their params they are not hashable.
+    """
+
+    __slots__ = _FIELDS
+    __hash__ = None
+
+    def __init__(self, suite, family, params=None, relation="",
+                 status=HOLDS, expected=False, lhs=None, rhs=None):
+        self.suite = suite
+        self.family = family
+        self.params = {} if params is None else params
+        self.relation = relation
+        self.status = status
+        self.expected = expected
+        self.lhs = lhs
+        self.rhs = rhs
+
+    def _fields(self):
+        return (self.suite, self.family, self.params, self.relation,
+                self.status, self.expected, self.lhs, self.rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(_FIELDS, self._fields())))
 
     def ok(self):
         """True when the report needs no attention."""

@@ -8,9 +8,10 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmpairs import TYPE_II, cli, verify_prop1, verify_theorem2
-from qmpairs.cli import main, collect_reports, suites_for
+from qmpairs.cli import SUITES, main, collect_reports, suites_for
 from qmpairs.mq2 import QGElement
 from qmpairs.reports import RelationReport
 
@@ -349,3 +350,63 @@ def test_closed_pipe_stops_quietly():
     assert json.loads(line)["suite"] == "theorem2"
     assert b"Traceback" not in err
     assert (code, err) == (1, b"")
+
+
+# the CLI vocabulary: subcommands, flags, their values (--range only up
+# to 2, so that every call stays small) and short expressions and words
+_RANGES = ("-1", "0", "1", "2")
+_FORMATS = ("text", "json")
+_WORDS = ("S", "T", "S'", "T'", "STS", "SQT", "")
+_EXPRESSIONS = ("U1", "U2^-1 * U1", "a1 * b2", "b1 * b2", "(a1 + g2)^2",
+                "d * a", "(a + d)^2", "[[a1, b1], [0, g1]]", "1 + s",
+                "2 * U1", "a1^", "(")
+_ARGV_WORDS = ("reduce", "verify", "modular", "--suite", "--type", "--range",
+               "--format", "--word", "--help", "-h", "--", "-", "I", "II",
+               "III", "mq2", *SUITES, *_RANGES, *_FORMATS, *_WORDS,
+               *_EXPRESSIONS)
+# junk has no digits, so that it cannot spell a larger --range
+_JUNK = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=5)
+_WORD = st.one_of(st.sampled_from(_ARGV_WORDS), _JUNK)
+
+
+def _mostly(choices):
+    """One of choices three times in four, any word otherwise."""
+    return st.integers(0, 3).flatmap(
+        lambda pick: _WORD if pick == 0 else st.sampled_from(choices))
+
+
+def _command(name, required, optional, positional=None):
+    """name, each required flag and maybe each optional one with a value,
+    the positional word, and now and then one word more."""
+    def flag_value(flag, choices):
+        return _mostly(choices).map(lambda value: [flag, value])
+
+    parts = [st.just([name])]
+    parts += [flag_value(flag, choices) for flag, choices in required]
+    parts += [st.one_of(st.just([]), flag_value(flag, choices))
+              for flag, choices in optional]
+    if positional is not None:
+        parts.append(_mostly(positional).map(lambda word: [word]))
+    parts.append(st.integers(0, 3).flatmap(
+        lambda pick: _WORD.map(lambda word: [word]) if pick == 0
+        else st.just([])))
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+_ARGV = st.one_of(
+    st.lists(_WORD, max_size=7),
+    _command("reduce", [("--type", ("I", "II", "III", "mq2"))],
+             [("--format", _FORMATS)], _EXPRESSIONS),
+    _command("verify", [("--suite", SUITES)],
+             [("--type", ("I", "II", "III")), ("--range", _RANGES),
+              ("--format", _FORMATS)]),
+    _command("modular", [("--type", ("I", "II", "III")), ("--word", _WORDS)],
+             [("--format", _FORMATS)]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_ARGV)
+def test_fuzz_argv(argv):
+    """Any argument list ends in exit 0, 1 or 2, and nothing escapes."""
+    assert main(argv, out=io.StringIO()) in (0, 1, 2), argv

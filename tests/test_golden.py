@@ -2,14 +2,16 @@
 
 A refactor or speedup must leave these bytes unchanged.  The hashes were
 recorded from the initial engine.  They cover every suite of
-`--suite all` at the default range for each family, the Type I
-`theorem2` grid at range 3, where members and their internal checks are
-reused across quadruples, and the background grid at range 4, whose
+`--suite all` at the default range for each family, the Type I and
+Type II `theorem2` grids at range 3, where members and their internal
+checks are reused across quadruples and twin quadruples share their
+verdicts, and the background grid at range 4, whose
 mixed rows U^n U'^n with |n| >= 3 are checked through the coproduct.
 The background grid at range 5 was recorded from the engine that formed
 both sides of every relation before comparing them, and the grid at
 range 6 from the engine that expanded every tensor of the coproduct
-join, before it grouped them by shared factors.
+join, before it grouped them by shared factors.  The Type II `theorem2`
+grid was recorded from the engine that reduced every twin quadruple.
 """
 
 import hashlib
@@ -25,8 +27,10 @@ GOLDEN_SHA256 = {
     "III": "91f842bea3eef844c6431aec1c650592869e735a24b34d1dc1d08426a995bc27",
 }
 
-THEOREM2_I_RANGE3_SHA256 = (
-    "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5")
+THEOREM2_RANGE3_SHA256 = {
+    "I": "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5",
+    "II": "82242b395e4627d72243839ecf2ec53b262349011417617cd2d3ae64e00013e9",
+}
 
 MQ2_RANGE4_SHA256 = (
     "5657f937fda132416395fcc8ac3801acf45adb8d8cb6795077b11dace85958f1")
@@ -55,7 +59,13 @@ def test_verify_all_json_matches_golden_hash(family):
 def test_verify_theorem2_range3_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "theorem2", "--type", "I",
                            "--range", "3", "--format", "json"])
-    assert digest == THEOREM2_I_RANGE3_SHA256
+    assert digest == THEOREM2_RANGE3_SHA256["I"]
+
+
+def test_verify_theorem2_type2_range3_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "II",
+                           "--range", "3", "--format", "json"])
+    assert digest == THEOREM2_RANGE3_SHA256["II"]
 
 
 def test_verify_mq2_range4_json_matches_golden_hash():

@@ -15,6 +15,7 @@ from qmpairs.pairs import (
     NonUnitScalar, UnsupportedTransform,
 )
 from qmpairs.reports import compare
+from qmpairs import pairs
 
 FAMILIES = (TYPE_I, TYPE_II, TYPE_III)
 
@@ -73,9 +74,19 @@ def test_theorem2_small_grids():
         assert not _bad(verify_theorem2(fam, 2))
 
 
-def _theorem2_reference(family, power_range):
-    """Theorem 2 with no reuse: each quadruple rebuilds both members from
-    repeated generator products and reduces M*N and N*M as whole matrix
+def _reference_member(family, i, j):
+    """U1^i U2^j from repeated generator products, with the Type I
+    prefactor q^(-ij/2)."""
+    member = (generator_matrix(1, family).pow(i)
+              * generator_matrix(2, family).pow(j))
+    if family is TYPE_I:
+        member = member.scale(q_pow(-i * j))
+    return member
+
+
+def _theorem2_reference(family, power_range, member=_reference_member):
+    """Theorem 2 with no reuse: each quadruple rebuilds both members with
+    member(family, i, j) and reduces M*N and N*M as whole matrix
     products, then runs the internal and mutual checks."""
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
@@ -85,14 +96,7 @@ def _theorem2_reference(family, power_range):
                  for s in rng for t in rng]
     out = []
     for n, m, s, t in quads:
-        members = []
-        for i, j in ((n, m), (s, t)):
-            member = (generator_matrix(1, family).pow(i)
-                      * generator_matrix(2, family).pow(j))
-            if family is TYPE_I:
-                member = member.scale(q_pow(-i * j))
-            members.append(member)
-        v1, v2 = members
+        v1, v2 = member(family, n, m), member(family, s, t)
         half = 2 * (n * t - m * s)
         params = {"n": n, "m": m, "s": s, "t": t}
         central, nd = family_internal_parameters(family, n)
@@ -109,8 +113,111 @@ def _theorem2_reference(family, power_range):
 
 @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
 def test_theorem2_matches_reference_without_reuse(fam):
-    # verify_theorem2 reuses members, internal checks and entry products
+    # verify_theorem2 reuses members, internal checks, entry products and
+    # the verdicts of twin quadruples
     assert verify_theorem2(fam, 2) == _theorem2_reference(fam, 2)
+
+
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
+def test_theorem2_twins_reduce_no_pair_products(fam, monkeypatch):
+    # at range 2 the grid has 25 diagonal and 600 off-diagonal quadruples;
+    # when every relation holds, the 300 twins reduce no pair products
+    calls = []
+    products = pairs._commutation_products
+
+    def counting(m1, m2):
+        calls.append(1)
+        return products(m1, m2)
+
+    monkeypatch.setattr(pairs, "_commutation_products", counting)
+    verify_theorem2(fam, 2)
+    assert len(calls) == (5 if fam is TYPE_III else 25 + 300)
+
+
+# a member's entries by relation-text letter
+_ENTRY = {"A": "a11", "B": "a12", "C": "a22"}
+
+
+def _evaluate(relation, v1, v2):
+    """Both sides of a q-commutation or mutual relation of (v1, v2), read
+    back from its text alone: "X*Y = F*Z*W [Q=s^h]" with F one of Q,
+    Q^-1, or "M*N = s^h * N*M"."""
+    if relation.startswith("M*N"):
+        half = int(relation.split("s^")[1].split()[0])
+        return v1 * v2, (v2 * v1).scale(q_pow(half))
+    body, sub = relation.split(" [Q=s^")
+    half = int(sub.rstrip("]"))
+    left, right = body.split(" = ")
+    factor, z, w = right.split("*")
+    sign = {"Q": 1, "Q^-1": -1}[factor]
+    members = {"1": v1, "2": v2}
+
+    def entry(token):
+        return getattr(members[token[1]], _ENTRY[token[0]])
+
+    x, y = left.split("*")
+    return (entry(x) * entry(y),
+            (entry(z) * entry(w)).scale(q_pow(sign * half)))
+
+
+_FAULTS = {
+    # + b2 on the corner, which U1 = (a1, b1; 0, g1) does not push
+    # through like b1: the relations that read B break
+    "corner": lambda fam, v: UTMatrix(v.a11, v.a12 + generator("b2", 1, fam),
+                                      v.a22),
+    # + 1 on the first diagonal entry: the relations that read A break
+    "diagonal": lambda fam, v: UTMatrix(v.a11 + Element.one(fam), v.a12,
+                                        v.a22),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("fam", (TYPE_I, TYPE_II), ids=lambda f: f.value)
+def test_theorem2_planted_fault_reaches_both_twins(fam, fault, monkeypatch):
+    plant = _FAULTS[fault]
+    member = pairs._member
+
+    def corrupted(pair, n, m):
+        value = member(pair, n, m)
+        return plant(pair.family, value) if (n, m) == (1, 0) else value
+
+    def reference_member(family, i, j):
+        value = _reference_member(family, i, j)
+        return plant(family, value) if (i, j) == (1, 0) else value
+
+    monkeypatch.setattr(pairs, "_member", corrupted)
+    reports = verify_theorem2(fam, 2)
+    assert reports == _theorem2_reference(fam, 2, reference_member)
+
+    # a quadruple with a violated mutual relation and its twin both
+    # report violations; the loop below checks that each carries its own
+    # sides
+    violated = {}
+    for report in reports:
+        if report.status == "violated" and "Q=s^" in report.relation:
+            p = report.params
+            violated.setdefault((p["n"], p["m"], p["s"], p["t"]), []).append(
+                report)
+    quad = next(q for q in violated if q[:2] == (1, 0) and q[2:] != (1, 0))
+    twin = quad[2:] + quad[:2]
+    assert twin in violated
+
+    # every pair relation of a quadruple with the faulty member agrees
+    # with its own text, read back into the entry products it names
+    for report in reports:
+        p = report.params
+        quad = (p["n"], p["m"], p["s"], p["t"])
+        if (1, 0) not in (quad[:2], quad[2:]) or \
+                report.relation.startswith(("V1: ", "V2: ")):
+            continue
+        lhs, rhs = _evaluate(report.relation,
+                             reference_member(fam, *quad[:2]),
+                             reference_member(fam, *quad[2:]))
+        if lhs == rhs:
+            assert report.status == "holds", report
+        else:
+            assert (report.status, report.lhs, report.rhs) == \
+                ("violated", lhs.text(), rhs.text()), report
 
 
 def test_product_pair_prefactor_restores_unit_diagonal():
