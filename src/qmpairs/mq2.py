@@ -15,13 +15,18 @@ i, l, m are never all positive, since a d Di collapses to 1 + q b c Di.
 Products work on exponent blocks by closed rules (see _block_mul), with
 one bounded cache of block products.  reduce_word applies the directed
 rules one adjacent swap at a time and is the independent oracle.
+
+verify_results decides the relations of U^n and of U^n U'^n from the 16
+products of two entries of U^n.  The mixed ones are joined through the
+coproduct, which merges the products that the held U^n relations have
+just shown to be unit multiples of each other (see _row_units).
 """
 
 import operator
 from functools import lru_cache
 
 from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
-                      power, unit_ratio, ONE)
+                      power, ONE)
 from .reports import RelationReport, HOLDS, VIOLATED, compare, streamed
 
 MQ2 = "mq2"
@@ -327,10 +332,8 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
     powers of the generator satisfy them with the exponent scaled.  Each
     entry product is the reduced product of two entries of the matrix.
     """
-    entries = matrix.entries()
-    return _check_relations(
-        _entry_combination(lambda x, y: entries[x] * entries[y]),
-        half_q_exponent, suite, params, expected, tag)
+    return _check_relations(_entry_combination(_entry_products(matrix)),
+                            half_q_exponent, suite, params, expected, tag)
 
 
 def _relation_table(half):
@@ -380,13 +383,13 @@ def _check_relations(combination, half, suite, params, expected, tag):
     return out
 
 
-def _entry_combination(product):
-    """combination(terms) for _check_relations, from product(x, y), the
-    reduced product of the entries x and y."""
+def _entry_combination(products):
+    """combination(terms) for _check_relations, from products, an
+    _entry_products table."""
     def combination(terms):
         out = {}
         for x, y, factor in terms:
-            for mono, coeff in product(x, y).terms.items():
+            for mono, coeff in products[x, y].terms.items():
                 accumulate(out, mono, coeff * factor)
         return _wrap_element(out)
 
@@ -401,44 +404,24 @@ def _entry_products(matrix):
             for x in range(4) for y in range(4)}
 
 
-def _unit_multiples(products):
-    """{key: (rep, unit)} over products, an _entry_products table, with
-    products[key] == unit * products[rep] and unit = +-s^k.
+def _row_units(reports, half):
+    """{(y, x): ((x, y), unit)} for _coproduct_combination, from the six
+    reports of _check_relations at Q = s^half on an _entry_products table.
 
-    rep is the first earlier representative that products[key] is found
-    to be such a multiple of, term by term (see scalars.unit_ratio), or
-    key itself.
+    A held row M_x M_y = f M_y M_x of _relation_table came out as an
+    empty signed sum, so products[y, x] is exactly f^-1 products[x, y],
+    with f = Q or 1.  A violated row, and the two-product last row, give
+    no unit.
     """
-    reps, firsts = {}, []
-    for key, value in products.items():
-        for rep in firsts:
-            unit = _element_ratio(products[rep].terms, value.terms)
-            if unit is not None:
-                reps[key] = (rep, unit)
-                break
-        else:
-            reps[key] = (key, ONE)
-            firsts.append(key)
-    return reps
+    units = {}
+    for report, (_, lhs, rhs) in zip(reports, _relation_table(half)):
+        if report.status == HOLDS and len(lhs) == len(rhs) == 1:
+            (x, y, _), (_, _, factor) = lhs[0], rhs[0]
+            units[y, x] = ((x, y), factor.monomial_inverse())
+    return units
 
 
-def _element_ratio(x, y):
-    """The unit u with y == u * x, for two element term dicts, or None."""
-    if not x or len(x) != len(y):
-        return None
-    unit = None
-    for mono, coeff in y.items():
-        base = x.get(mono)
-        if base is None:
-            return None
-        ratio = unit_ratio(base, coeff)
-        if ratio is None or (unit is not None and ratio != unit):
-            return None
-        unit = ratio
-    return unit
-
-
-def _coproduct_combination(products):
+def _coproduct_combination(products, units):
     """combination(terms) over the entries of M = X X', for
     _check_relations.
 
@@ -456,13 +439,16 @@ def _coproduct_combination(products):
 
     A row sum(f_t M_x M_y) is thus a sum of tensors f u (x) w, with
     u = X_ia X_kb and w = X_aj X_bl, four to a term.  The tensors are
-    grouped by u or by w, whichever side gives fewer groups, where a
-    fixed factor that is a unit +-s^k times an earlier one
-    (_unit_multiples) joins the earlier one's group with its f times that
-    unit.  Each group sums its other side into one block dict, and only
-    the groups whose sum is not zero are joined with their fixed factor:
-    for the relations of U^n most rows have none left.  By bilinearity
-    over Z[s^+-1],
+    grouped by u or by w, whichever side gives fewer groups.  units maps
+    a key to (rep, c) with products[key] == c * products[rep] (see
+    _row_units): a fixed factor with such an entry joins the group of
+    rep with its f times c, and any other is a group of its own.  The
+    entries come from the held relations of X, whose signed sums came
+    out empty, so each is exact; a violated relation gives none, and
+    its tensors are grouped without merging.  Each group sums its other
+    side into one block dict, and only the groups whose sum is not zero
+    are joined with their fixed factor: for the relations of U^n most
+    rows have none left.  By bilinearity over Z[s^+-1],
     sum_t f_t u_t (x) w_t = sum_g u_g (x) (sum_(t in g) f_t c_t w_t) with
     u_t = c_t u_g, and a zero sum adds nothing, so the result is the same
     reduced element as the expansion of every tensor, and the same as the
@@ -472,7 +458,7 @@ def _coproduct_combination(products):
     """
     blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
               for key, value in products.items()}
-    reps = _unit_multiples(products)
+    reps = {key: units.get(key, (key, ONE)) for key in products}
 
     def combination(terms):
         tensors = []
@@ -519,9 +505,10 @@ def verify_results(n_range, suite=MQ2):
     through the coproduct (_coproduct_combination), never formed from
     the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
     and primed letters commute with unprimed ones, so the join is exact.
-    The join groups a row's tensors by their shared factors, merges the
-    groups whose factors differ by a unit +-s^k, and expands only the
-    groups whose sums are not zero.
+    The join groups a row's tensors by their shared factors and expands
+    only the groups whose sums are not zero.  It merges two groups when
+    a U^n row just reported as holding, M_x M_y = f M_y M_x, shows their
+    factors to differ by the unit f^-1 (see _row_units).
 
     Each of the six relations is one row of _relation_table, a signed
     sum of entry products that must vanish, and _check_relations decides
@@ -543,11 +530,12 @@ def verify_results(n_range, suite=MQ2):
     yield compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I")
     for n in range(-n_range, n_range + 1):
         products = _entry_products(fm_pow(u, n, uinv))
+        reports = _check_relations(_entry_combination(products), 2 * n,
+                                   suite, {"n": n}, False, "U^n: ")
+        yield from reports
         yield from _check_relations(
-            _entry_combination(lambda x, y: products[x, y]), 2 * n, suite,
-            {"n": n}, False, "U^n: ")
-        yield from _check_relations(_coproduct_combination(products), 2 * n,
-                                    suite, {"n": n}, False, "U^n*U'^n: ")
+            _coproduct_combination(products, _row_units(reports, 2 * n)),
+            2 * n, suite, {"n": n}, False, "U^n*U'^n: ")
 
 
 @streamed

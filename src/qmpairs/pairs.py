@@ -362,8 +362,9 @@ def verify_theorem2(family, power_range, suite="theorem2"):
 
     A member and its internal relations depend on its own exponents only,
     so each member is built once (see make_product_pair) and its internal
-    checks run once per member, tag and internal parameters; later
-    quadruples receive copies of those reports under their own params.
+    checks run once per member and internal parameters, untagged, whether
+    it comes up as V1 or as V2; every quadruple reports copies of them
+    under its own params, with its "V1: " or "V2: " tag on the relation.
     Per quadruple the run reduces the eight entry products of M*N and N*M
     once; the q-commutation sides are built from them, and the mutual
     relations reuse them and add the four diagonal cross products.
@@ -422,15 +423,15 @@ def verify_theorem2(family, power_range, suite="theorem2"):
                                    params)
             yield first
         for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
-            key = (tag, exps, central, nd)
+            key = (exps, central, nd)
             reports = internal.get(key)
             if reports is None:
                 reports = internal[key] = check_internal(
-                    member, central, nd, suite, family.value, params, tag=tag)
-                yield from reports
-            else:
-                for report in reports:
-                    yield report.with_params(params)
+                    member, central, nd, suite, family.value)
+            for report in reports:
+                yield RelationReport(suite, family.value, dict(params),
+                                     tag + report.relation, report.status,
+                                     report.expected, report.lhs, report.rhs)
         if reused:
             for relation in _MUTUAL:
                 yield RelationReport(suite, family.value, dict(params),

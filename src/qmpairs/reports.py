@@ -58,12 +58,6 @@ class RelationReport:
         """True when the report needs no attention."""
         return self.status == HOLDS or self.expected
 
-    def with_params(self, params):
-        """The same outcome reported under other parameters."""
-        return RelationReport(self.suite, self.family, dict(params),
-                              self.relation, self.status, self.expected,
-                              self.lhs, self.rhs)
-
 
 def compare(lhs, rhs, suite, family, params, relation, expected=False):
     """Report whether two reduced values are equal, with their texts if not."""

@@ -515,29 +515,6 @@ def _mul_wide(x, y):
     return _repacked(x, xd, xn, width) * _repacked(y, yd, yn, width)
 
 
-def unit_ratio(x, y):
-    """The unit u = +-s^k with y == u * x, or None when none is found.
-
-    None is always a safe answer: it means only that the caller keeps y
-    apart from x.  Both values must be nonzero and packed at one r power;
-    a sparse value gives None.  When the two hold the same digits, or
-    digits of opposite sign, y is x times that sign moved by the
-    difference k of their lows, whatever the digits are, so a unit
-    returned is never wrong.
-    """
-    xp, yp = x._packed, y._packed
-    if not xp or not yp or x._line != y._line:
-        return None
-    if x._width == y._width:
-        sign = 1 if xp == yp else -1 if xp == -yp else 0
-    else:
-        xd, yd = _unpack(xp, x._width), _unpack(yp, y._width)
-        sign = 1 if xd == yd else -1 if xd == [-d for d in yd] else 0
-    if not sign:
-        return None
-    return LaurentScalar.monomial(sign, y._low - x._low)
-
-
 def _mul_terms(x, y):
     """x * y term by term, for a factor that is not packed."""
     out = {}

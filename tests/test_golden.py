@@ -12,6 +12,9 @@ both sides of every relation before comparing them, and the grid at
 range 6 from the engine that expanded every tensor of the coproduct
 join, before it grouped them by shared factors.  The Type II `theorem2`
 grid was recorded from the engine that reduced every twin quadruple.
+The Type III `theorem2` grid at range 4, whose internal parameter r^n
+changes from quadruple to quadruple, was recorded from the engine that
+checked each member's internal relations once per tag.
 """
 
 import hashlib
@@ -26,6 +29,9 @@ GOLDEN_SHA256 = {
     "II": "9eb7caab6cef7b910f603c35acaec2e4a7db88c188992677c87fdada44ff9f49",
     "III": "91f842bea3eef844c6431aec1c650592869e735a24b34d1dc1d08426a995bc27",
 }
+
+THEOREM2_TYPE3_RANGE4_SHA256 = (
+    "30f87e36caa7407bb36834211694f6f94d8931257579ed00be0e6f90c6909ee0")
 
 THEOREM2_RANGE3_SHA256 = {
     "I": "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5",
@@ -66,6 +72,12 @@ def test_verify_theorem2_type2_range3_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "theorem2", "--type", "II",
                            "--range", "3", "--format", "json"])
     assert digest == THEOREM2_RANGE3_SHA256["II"]
+
+
+def test_verify_theorem2_type3_range4_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "III",
+                           "--range", "4", "--format", "json"])
+    assert digest == THEOREM2_TYPE3_RANGE4_SHA256
 
 
 def test_verify_mq2_range4_json_matches_golden_hash():

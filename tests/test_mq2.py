@@ -12,7 +12,7 @@ from qmpairs.mq2 import (
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
     _block_mul, _check_relations, _coproduct_combination, _entry_combination,
-    _entry_products, _relation_table,
+    _entry_products, _relation_table, _row_units,
 )
 
 from relation_oracle import check_matrix, check_relations, plain_join
@@ -216,15 +216,24 @@ def _mixed(n, fault=None):
 
 def _table_reports(x, half, tag):
     """The U^n row of verify_results: signed sums of entry products."""
-    products = _entry_products(x)
-    return _check_relations(_entry_combination(lambda i, k: products[i, k]),
-                            half, "mq2", {"n": 0}, False, tag)
+    return _check_relations(_entry_combination(_entry_products(x)), half,
+                            "mq2", {"n": 0}, False, tag)
+
+
+def _units(products, half):
+    """The units verify_results hands the join: those of the U^n rows at
+    half that hold."""
+    reports = _check_relations(_entry_combination(products), half, "mq2",
+                               {}, False, "")
+    return _row_units(reports, half)
 
 
 def _coproduct_reports(x, half, tag):
     """The U^n*U'^n row of verify_results: one coproduct join per row."""
-    return _check_relations(_coproduct_combination(_entry_products(x)),
-                            half, "mq2", {"n": 0}, False, tag)
+    products = _entry_products(x)
+    return _check_relations(
+        _coproduct_combination(products, _units(products, half)), half,
+        "mq2", {"n": 0}, False, tag)
 
 
 def test_coproduct_products_match_direct_products():
@@ -238,7 +247,9 @@ def test_coproduct_products_match_direct_products():
         x, y = _mixed(n)
         mixed = x * y
         entries = mixed.entries()
-        combination = _coproduct_combination(_entry_products(x))
+        products = _entry_products(x)
+        combination = _coproduct_combination(products,
+                                             _units(products, 2 * n))
         for i in range(4):
             for k in range(4):
                 assert combination([(i, k, ONE)]) == \
@@ -286,8 +297,8 @@ def test_relation_table_matches_two_sided_oracle():
 def test_planted_fault_matches_two_sided_oracle():
     """One entry of U^n perturbed (M12 + b, M11 + b, M21 + c, M22 + b*c):
     the table row, check_R and the coproduct row report what the oracle
-    reports, violations included.  The faults break the +-s^k ratios
-    between entry products that the coproduct join merges groups by."""
+    reports, violations included.  The faults violate U^n rows, so the
+    coproduct join goes without the units those rows would give."""
     for fault, n in itertools.product(FAULTS, range(-3, 4)):
         x, y = _mixed(n, fault)
         table = _table_reports(x, 2 * n, "U^n: ")
@@ -325,16 +336,47 @@ def _random_rows(rng, half, count):
 
 def test_grouped_join_matches_plain_join():
     """The grouped coproduct join against the join that expands every
-    tensor, as elements, on U^n and on U^n with a planted fault."""
+    tensor, as elements, on U^n and on U^n with a planted fault, both
+    with the units of the U^n rows that hold and with no units."""
     rng = random.Random(20261019)
     for n in range(-3, 4):
         for fault in (None,) + FAULTS:
             products = _entry_products(_mixed(n, fault)[0])
-            grouped = _coproduct_combination(products)
             plain = plain_join(products)
             for half in (2 * n, 2 * n + 2):
+                joins = [_coproduct_combination(products, units)
+                         for units in (_units(products, half), {})]
                 for terms in _random_rows(rng, half, 4):
-                    assert grouped(terms) == plain(terms), (n, fault, terms)
+                    want = plain(terms)
+                    for grouped in joins:
+                        assert grouped(terms) == want, (n, fault, terms)
+
+
+def test_row_units_are_exact_ratios():
+    """A unit read off a held U^n row is the exact ratio of its two entry
+    products; a row that a planted fault or a wrong parameter violates
+    gives none, and the fault-free U^n at its own parameter gives all
+    five."""
+    violated = 0
+    for fault, n in itertools.product((None,) + FAULTS, range(-3, 4)):
+        products = _entry_products(_mixed(n, fault)[0])
+        for half in (2 * n, 2 * n + 2):
+            reports = _check_relations(_entry_combination(products), half,
+                                       "mq2", {}, False, "")
+            units = _row_units(reports, half)
+            for report, (_, lhs, rhs) in zip(reports,
+                                              _relation_table(half)):
+                if len(lhs) == 1 and not report.ok():
+                    violated += 1
+                    assert (rhs[0][0], rhs[0][1]) not in units, (fault, n)
+            for (y, x), (rep, unit) in units.items():
+                assert rep == (x, y)
+                assert products[y, x] == products[x, y].scale(unit), \
+                    (fault, n, half, x, y)
+            if fault is None and half == 2 * n:
+                assert sorted(units) == [(1, 0), (2, 0), (2, 1), (3, 1),
+                                         (3, 2)]
+    assert violated
 
 
 def test_background_grid_in_bounded_memory():

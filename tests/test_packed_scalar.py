@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dict_scalar import DictScalar
-from qmpairs.scalars import LaurentScalar, ONE, q_pow, unit_ratio
+from qmpairs.scalars import LaurentScalar, ONE, q_pow
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -108,60 +108,6 @@ def test_equal_values_of_two_widths():
     _same(x + y, DictScalar({(0, 0): 1, (1, 0): 2 ** 70}))
     _same(wide - x, DictScalar())
     _same(y - x + 1, DictScalar({(1, 0): 2 ** 70, (3, 0): 4}))
-
-
-def _right_unit(x, y, unit):
-    """unit is None, or y == unit * x by the dict scalar."""
-    if unit is None:
-        return True
-    ((_, r_exp), coeff), = unit.terms.items()
-    assert r_exp == 0 and coeff in (1, -1)
-    return DictScalar(dict(y.terms)) == \
-        DictScalar(dict(unit.terms)) * DictScalar(dict(x.terms))
-
-
-def test_unit_ratio_cases():
-    x = LaurentScalar({(0, 0): 3, (2, 0): -1, (5, 0): 7})
-    big = LaurentScalar.integer(2 ** 70)
-    wide = (x.shift(-4) + big) - big
-    assert (x._width, wide._width) == (64, 128)
-    sparse = LaurentScalar({(0, 0): 1, (3, 1): 2})
-    zero = LaurentScalar.zero()
-    found = [
-        (x, x, ONE),
-        (x, -x, -ONE),
-        (x, x.shift(6), q_pow(6)),
-        (x, -x.shift(-3), -q_pow(-3)),
-        (x, wide, q_pow(-4)),
-        (wide, -x.shift(1), -q_pow(5)),
-    ]
-    for a, b, unit in found:
-        assert unit_ratio(a, b) == unit, (a, b)
-        assert _right_unit(a, b, unit)
-    for a, b in [(x, (ONE + q_pow(1)) * x), (x, x * 2), (x, x + ONE),
-                 (x, x.shift(2, 1)), (sparse, sparse), (sparse, -sparse),
-                 (x, zero), (zero, x), (zero, zero), (x, big),
-                 (LaurentScalar({(0, 0): 1, (1, 0): 2}),
-                  LaurentScalar({(0, 0): 2, (1, 0): 1}))]:
-        assert unit_ratio(a, b) is None, (a, b)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(pairs(), pairs(), st.integers(-300, 300), st.sampled_from((1, -1)),
-       st.booleans())
-def test_unit_ratio_against_dict(xp, yp, shift, sign, widen):
-    """A unit returned is right by the dict scalar; a packed nonzero value
-    against its own unit multiple, at one width or two, finds the unit."""
-    (x, _), (y, _) = xp, yp
-    assert _right_unit(x, y, unit_ratio(x, y))
-    multiple = x.shift(shift) * sign
-    if widen:
-        big = LaurentScalar.integer(2 ** 130)
-        multiple = (multiple + big) - big
-    unit = unit_ratio(x, multiple)
-    assert _right_unit(x, multiple, unit)
-    if x._packed:
-        assert unit == LaurentScalar.monomial(sign, shift)
 
 
 def test_low_moves_past_cancelled_digits():

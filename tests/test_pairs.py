@@ -134,6 +134,22 @@ def test_theorem2_twins_reduce_no_pair_products(fam, monkeypatch):
     assert len(calls) == (5 if fam is TYPE_III else 25 + 300)
 
 
+@pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.value)
+def test_theorem2_checks_each_member_once(fam, monkeypatch):
+    # a member's internal checks serve it as V1 and as V2: at range 2 the
+    # grid has 25 members, and Type III its 9 members (n, 0) and (0, n)
+    calls = []
+    check = pairs.check_internal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(pairs, "check_internal", counting)
+    verify_theorem2(fam, 2)
+    assert len(calls) == (9 if fam is TYPE_III else 25)
+
+
 # a member's entries by relation-text letter
 _ENTRY = {"A": "a11", "B": "a12", "C": "a22"}
 

@@ -62,17 +62,10 @@ def test_repr_names_every_field():
         "rhs='y')")
 
 
-def test_ok_and_with_params():
+def test_ok():
     assert RelationReport("s", "I").ok()
     assert not RelationReport("s", "I", {}, "r", VIOLATED).ok()
     assert RelationReport("s", "I", {}, "r", VIOLATED, True).ok()
-    params = {"n": 2}
-    report = RelationReport("s", "I", {"n": 1}, "r", VIOLATED, True, "x", "y")
-    moved = report.with_params(params)
-    assert moved == RelationReport("s", "I", {"n": 2}, "r", VIOLATED, True,
-                                   "x", "y")
-    assert moved.params is not params
-    assert report.params == {"n": 1}
 
 
 def test_report_has_no_instance_dict():
