@@ -17,9 +17,11 @@ one bounded cache of block products.  reduce_word applies the directed
 rules one adjacent swap at a time and is the independent oracle.
 
 verify_results decides the relations of U^n and of U^n U'^n from the 16
-products of two entries of U^n.  The mixed ones are joined through the
-coproduct, which merges the products that the held U^n relations have
-just shown to be unit multiples of each other (see _row_units).
+products of two entries of U^n.  The coproduct is an algebra map, so a
+mixed relation follows from the U^n relations just decided: it is
+closed by a certificate, linear algebra over those 16 products read as
+symbols, and joined through the coproduct only when the certificate
+cannot close it (see _coproduct_combination).
 """
 
 import operator
@@ -404,24 +406,29 @@ def _entry_products(matrix):
             for x in range(4) for y in range(4)}
 
 
-def _row_units(reports, half):
-    """{(y, x): ((x, y), unit)} for _coproduct_combination, from the six
-    reports of _check_relations at Q = s^half on an _entry_products table.
+def _row_rewrites(reports, half):
+    """{symbol: [(symbol, coefficient)]} for _coproduct_combination, from
+    the six reports of _check_relations at Q = s^half.
 
-    A held row M_x M_y = f M_y M_x of _relation_table came out as an
-    empty signed sum, so products[y, x] is exactly f^-1 products[x, y],
-    with f = Q or 1.  A violated row, and the two-product last row, give
-    no unit.
+    The symbol (x, y) stands for the entry product M_x M_y.  Each signed
+    row of _relation_table has one descending symbol x > y, with a unit
+    coefficient.  A held row rewrites it exactly by the row's ascending
+    symbols: (y, x) = f^-1 (x, y) for the single-product rows, and
+    (3, 0) = (0, 3) - (Q - Q^-1) (1, 2) for the last.  No rewrite has a
+    descending symbol on its right side, so one step maps every symbol
+    onto the symbols that no held row rewrites.
     """
-    units = {}
+    images = {(x, y): [((x, y), ONE)] for x in range(4) for y in range(4)}
     for report, (_, lhs, rhs) in zip(reports, _relation_table(half)):
-        if report.status == HOLDS and len(lhs) == len(rhs) == 1:
-            (x, y, _), (_, _, factor) = lhs[0], rhs[0]
-            units[y, x] = ((x, y), factor.monomial_inverse())
-    return units
+        if report.status == HOLDS:
+            terms = lhs + [(x, y, -f) for x, y, f in rhs]
+            (x, y, lead), = [t for t in terms if t[0] > t[1]]
+            scale = -lead.monomial_inverse()
+            images[x, y] = [((u, v), f * scale) for u, v, f in terms if u < v]
+    return images
 
 
-def _coproduct_combination(products, units):
+def _coproduct_combination(products, images):
     """combination(terms) over the entries of M = X X', for
     _check_relations.
 
@@ -437,29 +444,17 @@ def _coproduct_combination(products, units):
     monomial is the two blocks side by side.  This is the statement that
     the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map.
 
-    A row sum(f_t M_x M_y) is thus a sum of tensors f u (x) w, with
-    u = X_ia X_kb and w = X_aj X_bl, four to a term.  The tensors are
-    grouped by u or by w, whichever side gives fewer groups.  units maps
-    a key to (rep, c) with products[key] == c * products[rep] (see
-    _row_units): a fixed factor with such an entry joins the group of
-    rep with its f times c, and any other is a group of its own.  The
-    entries come from the held relations of X, whose signed sums came
-    out empty, so each is exact; a violated relation gives none, and
-    its tensors are grouped without merging.  Each group sums its other
-    side into one block dict, and only the groups whose sum is not zero
-    are joined with their fixed factor: for the relations of U^n most
-    rows have none left.  By bilinearity over Z[s^+-1],
-    sum_t f_t u_t (x) w_t = sum_g u_g (x) (sum_(t in g) f_t c_t w_t) with
-    u_t = c_t u_g, and a zero sum adds nothing, so the result is the same
-    reduced element as the expansion of every tensor, and the same as the
-    direct products of the big entries: the normal-form monomials are a
-    basis and accumulate drops zero coefficients.  No M_ij M_kl is formed
-    on its own.
+    A row sum(f_t M_x M_y) is thus a sum of tensors f u (x) w of symbols
+    u = (ia, kb) and w = (aj, bl), four to a term.  Both factors are
+    mapped by images (see _row_rewrites) and the coefficients collected
+    on pairs of symbols.  If all cancel, the row is zero by bilinearity
+    over Z[s^+-1], and products is never read.  The coproduct maps each
+    defining relation into the span of relation (x) element and
+    element (x) relation, so when every row of X held, every row of M
+    cancels.  Otherwise each tensor is expanded and joined monomial by
+    monomial, which is exact: the normal-form monomials are a basis and
+    accumulate drops zero coefficients.
     """
-    blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
-              for key, value in products.items()}
-    reps = {key: units.get(key, (key, ONE)) for key in products}
-
     def combination(terms):
         tensors = []
         for x, y, factor in terms:
@@ -467,26 +462,20 @@ def _coproduct_combination(products, units):
             k, l = divmod(y, 2)
             tensors += [((2 * i + a, 2 * k + b), (2 * a + j, 2 * b + l),
                          factor) for a in (0, 1) for b in (0, 1)]
-        swapped = len({reps[w][0] for _, w, _ in tensors}) < \
-            len({reps[u][0] for u, _, _ in tensors})
-        sums = {}
+        pairs = {}
         for u, w, factor in tensors:
-            fixed, other = (w, u) if swapped else (u, w)
-            rep, unit = reps[fixed]
-            if not blocks[rep]:
-                continue
-            factor = factor * unit
-            group = sums.setdefault(rep, {})
-            for block, coeff in blocks[other]:
-                accumulate(group, block, coeff * factor)
+            for su, cu in images[u]:
+                for sw, cw in images[w]:
+                    accumulate(pairs, (su, sw), factor * cu * cw)
         out = {}
-        for rep, group in sums.items():
-            left, right = blocks[rep], group.items()
-            if swapped:
-                left, right = right, left
-            for block, coeff in left:
-                for pblock, pcoeff in right:
-                    accumulate(out, block + pblock, coeff * pcoeff)
+        if pairs:
+            for u, w, factor in tensors:
+                right = [(mono[:5], coeff)
+                         for mono, coeff in products[w].terms.items()]
+                for mono, coeff in products[u].terms.items():
+                    coeff = coeff * factor
+                    for pblock, pcoeff in right:
+                        accumulate(out, mono[:5] + pblock, coeff * pcoeff)
         return _wrap_element(out)
 
     return combination
@@ -501,14 +490,17 @@ def verify_results(n_range, suite=MQ2):
     Centrality of the quantum determinant and exactness of the displayed
     inverse are checked alongside.  The products of two entries of U^n
     are reduced once per n and serve both rows: the U^n relations read
-    them directly, and the U^n U'^n relations are joined from them
+    them directly, and the U^n U'^n relations are decided from them
     through the coproduct (_coproduct_combination), never formed from
     the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
-    and primed letters commute with unprimed ones, so the join is exact.
-    The join groups a row's tensors by their shared factors and expands
-    only the groups whose sums are not zero.  It merges two groups when
-    a U^n row just reported as holding, M_x M_y = f M_y M_x, shows their
-    factors to differ by the unit f^-1 (see _row_units).
+    and primed letters commute with unprimed ones.  Each U^n row just
+    reported as holding rewrites one of the 16 products in terms of the
+    others (_row_rewrites).  When all six held, the coefficients of every
+    mixed row cancel under these rewrites on both tensor factors, since
+    the coproduct is an algebra map (Faddeev, Reshetikhin and
+    Takhtajan), and the row is zero by bilinearity: no product of the
+    primed block is formed.  A row that does not cancel is joined tensor
+    by tensor.
 
     Each of the six relations is one row of _relation_table, a signed
     sum of entry products that must vanish, and _check_relations decides
@@ -534,7 +526,7 @@ def verify_results(n_range, suite=MQ2):
                                    suite, {"n": n}, False, "U^n: ")
         yield from reports
         yield from _check_relations(
-            _coproduct_combination(products, _row_units(reports, 2 * n)),
+            _coproduct_combination(products, _row_rewrites(reports, 2 * n)),
             2 * n, suite, {"n": n}, False, "U^n*U'^n: ")
 
 

@@ -9,7 +9,9 @@ with the signed sums of mq2._relation_table; the relation texts and
 their order are the contract both must keep.
 
 plain_join is the coproduct join that expands every tensor, the
-reference mq2._coproduct_combination is tested against.
+reference mq2._coproduct_combination is tested against, both where its
+certificate from the held U^n rows closes a row and where it falls back
+to a join of its own.
 """
 
 from qmpairs.mq2 import QGElement

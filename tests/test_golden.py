@@ -10,8 +10,11 @@ mixed rows U^n U'^n with |n| >= 3 are checked through the coproduct.
 The background grid at range 5 was recorded from the engine that formed
 both sides of every relation before comparing them, and the grid at
 range 6 from the engine that expanded every tensor of the coproduct
-join, before it grouped them by shared factors.  The Type II `theorem2`
-grid was recorded from the engine that reduced every twin quadruple.
+join, before it grouped them by shared factors.  The grid at range 8
+was recorded from the engine that joined the mixed rows group by group,
+before they were closed by a certificate from the held U^n rows.  The
+Type II `theorem2` grid was recorded from the engine that reduced every
+twin quadruple.
 The Type III `theorem2` grid at range 4, whose internal parameter r^n
 changes from quadruple to quadruple, was recorded from the engine that
 checked each member's internal relations once per tag.
@@ -46,6 +49,9 @@ MQ2_RANGE5_SHA256 = (
 
 MQ2_RANGE6_SHA256 = (
     "894fe5b9038a876972a000fc49ce11dbe808690e8244ceae0d7a9132e0bdff8a")
+
+MQ2_RANGE8_SHA256 = (
+    "b3eb0332b27b7acc2e7b694df6d5d10af8fdbf7a837416abd13267dcef64e3ab")
 
 
 def _json_digest(argv):
@@ -96,3 +102,9 @@ def test_verify_mq2_range6_json_matches_golden_hash():
     digest = _json_digest(["verify", "--suite", "mq2", "--range", "6",
                            "--format", "json"])
     assert digest == MQ2_RANGE6_SHA256
+
+
+def test_verify_mq2_range8_json_matches_golden_hash():
+    digest = _json_digest(["verify", "--suite", "mq2", "--range", "8",
+                           "--format", "json"])
+    assert digest == MQ2_RANGE8_SHA256

@@ -12,7 +12,7 @@ from qmpairs.mq2 import (
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
     _block_mul, _check_relations, _coproduct_combination, _entry_combination,
-    _entry_products, _relation_table, _row_units,
+    _entry_products, _relation_table, _row_rewrites,
 )
 
 from relation_oracle import check_matrix, check_relations, plain_join
@@ -220,19 +220,19 @@ def _table_reports(x, half, tag):
                             "mq2", {"n": 0}, False, tag)
 
 
-def _units(products, half):
-    """The units verify_results hands the join: those of the U^n rows at
-    half that hold."""
+def _images(products, half):
+    """The rewrites verify_results hands the join: those of the U^n rows
+    at half that hold."""
     reports = _check_relations(_entry_combination(products), half, "mq2",
                                {}, False, "")
-    return _row_units(reports, half)
+    return _row_rewrites(reports, half)
 
 
 def _coproduct_reports(x, half, tag):
-    """The U^n*U'^n row of verify_results: one coproduct join per row."""
+    """The U^n*U'^n row of verify_results: one coproduct sum per row."""
     products = _entry_products(x)
     return _check_relations(
-        _coproduct_combination(products, _units(products, half)), half,
+        _coproduct_combination(products, _images(products, half)), half,
         "mq2", {"n": 0}, False, tag)
 
 
@@ -249,7 +249,7 @@ def test_coproduct_products_match_direct_products():
         entries = mixed.entries()
         products = _entry_products(x)
         combination = _coproduct_combination(products,
-                                             _units(products, 2 * n))
+                                             _images(products, 2 * n))
         for i in range(4):
             for k in range(4):
                 assert combination([(i, k, ONE)]) == \
@@ -297,8 +297,9 @@ def test_relation_table_matches_two_sided_oracle():
 def test_planted_fault_matches_two_sided_oracle():
     """One entry of U^n perturbed (M12 + b, M11 + b, M21 + c, M22 + b*c):
     the table row, check_R and the coproduct row report what the oracle
-    reports, violations included.  The faults violate U^n rows, so the
-    coproduct join goes without the units those rows would give."""
+    reports, violations included.  The faults violate U^n rows, which
+    then rewrite no product, so the coproduct rows that do not cancel
+    fall back to the join of every tensor."""
     for fault, n in itertools.product(FAULTS, range(-3, 4)):
         x, y = _mixed(n, fault)
         table = _table_reports(x, 2 * n, "U^n: ")
@@ -334,48 +335,66 @@ def _random_rows(rng, half, count):
     return rows
 
 
-def test_grouped_join_matches_plain_join():
-    """The grouped coproduct join against the join that expands every
-    tensor, as elements, on U^n and on U^n with a planted fault, both
-    with the units of the U^n rows that hold and with no units."""
-    rng = random.Random(20261019)
-    for n in range(-3, 4):
-        for fault in (None,) + FAULTS:
-            products = _entry_products(_mixed(n, fault)[0])
-            plain = plain_join(products)
-            for half in (2 * n, 2 * n + 2):
-                joins = [_coproduct_combination(products, units)
-                         for units in (_units(products, half), {})]
-                for terms in _random_rows(rng, half, 4):
-                    want = plain(terms)
-                    for grouped in joins:
-                        assert grouped(terms) == want, (n, fault, terms)
-
-
-def test_row_units_are_exact_ratios():
-    """A unit read off a held U^n row is the exact ratio of its two entry
-    products; a row that a planted fault or a wrong parameter violates
-    gives none, and the fault-free U^n at its own parameter gives all
-    five."""
+def test_row_rewrites_are_exact():
+    """Each image of _row_rewrites has the reduced value of its symbol,
+    on U^n with and without a planted fault, at its own and the wrong
+    parameter.  A violated row rewrites nothing, and on the fault-free
+    U^n at its own parameter all six rows rewrite and every coproduct
+    row cancels without reading a product."""
     violated = 0
     for fault, n in itertools.product((None,) + FAULTS, range(-3, 4)):
         products = _entry_products(_mixed(n, fault)[0])
         for half in (2 * n, 2 * n + 2):
             reports = _check_relations(_entry_combination(products), half,
                                        "mq2", {}, False, "")
-            units = _row_units(reports, half)
-            for report, (_, lhs, rhs) in zip(reports,
-                                              _relation_table(half)):
-                if len(lhs) == 1 and not report.ok():
-                    violated += 1
-                    assert (rhs[0][0], rhs[0][1]) not in units, (fault, n)
-            for (y, x), (rep, unit) in units.items():
-                assert rep == (x, y)
-                assert products[y, x] == products[x, y].scale(unit), \
-                    (fault, n, half, x, y)
+            images = _row_rewrites(reports, half)
+            for sym, image in images.items():
+                value = QGElement.zero()
+                for basis, coeff in image:
+                    value = value + products[basis].scale(coeff)
+                assert value == products[sym], (fault, n, half, sym)
+            rewritten = [sym for sym, image in images.items()
+                         if image != [(sym, ONE)]]
+            assert len(rewritten) == sum(r.ok() for r in reports)
+            violated += sum(not r.ok() for r in reports)
             if fault is None and half == 2 * n:
-                assert sorted(units) == [(1, 0), (2, 0), (2, 1), (3, 1),
-                                         (3, 2)]
+                assert sorted(rewritten) == [(1, 0), (2, 0), (2, 1),
+                                             (3, 0), (3, 1), (3, 2)]
+                assert not _bad(_check_relations(
+                    _coproduct_combination({}, images), half, "mq2", {},
+                    False, ""))
+    assert violated
+
+
+def test_certificate_join_matches_plain_join():
+    """The coproduct combination against the join that expands every
+    tensor, as elements, on U^n and on U^n with a planted fault, with
+    the rewrites of the U^n rows that hold."""
+    rng = random.Random(20261019)
+    for n in range(-3, 4):
+        for fault in (None,) + FAULTS:
+            products = _entry_products(_mixed(n, fault)[0])
+            plain = plain_join(products)
+            for half in (2 * n, 2 * n + 2):
+                joined = _coproduct_combination(products,
+                                                _images(products, half))
+                for terms in _random_rows(rng, half, 4):
+                    assert joined(terms) == plain(terms), (n, fault, terms)
+
+
+def test_planted_fault_at_wrong_parameter_matches_two_sided_oracle():
+    """Under each planted fault at the wrong parameter 2n + 2 the
+    coproduct row reports what the two-sided oracle reports on the
+    direct product, lhs and rhs texts included: the certificate never
+    lets a violated row report as holding."""
+    violated = 0
+    for fault, n in itertools.product(FAULTS, range(-3, 4)):
+        x, y = _mixed(n, fault)
+        half = 2 * n + 2
+        factored = _coproduct_reports(x, half, "U^n*U'^n: ")
+        assert factored == check_matrix(x * y, half, params={"n": 0},
+                                        tag="U^n*U'^n: "), (fault, n)
+        violated += len(_bad(factored))
     assert violated
 
 
