@@ -34,9 +34,26 @@ USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
 _FAMILIES = {"I": TYPE_I, "II": TYPE_II, "III": TYPE_III}
+_MODULAR = ("I", "II")
 
-SUITES = ("prop1", "prop2", "prop3", "theorem1", "theorem2", "theorem3",
-          "mq2", "all")
+# suite -> (runner(family, power_range), the --type tokens it accepts, or
+# None for a suite that takes no family and ignores --type); `--suite all`
+# runs, in this order, every row that accepts its --type
+_SUITES = {
+    "prop1": (verify_prop1.stream, tuple(_FAMILIES)),
+    "prop2": (lambda family, power_range: verify_prop2.stream(power_range),
+              ("I",)),
+    "prop3": (verify_prop3.stream, tuple(_FAMILIES)),
+    "theorem1": (verify_theorem1.stream, tuple(_FAMILIES)),
+    "theorem2": (verify_theorem2.stream, tuple(_FAMILIES)),
+    "theorem3": (lambda family, power_range: verify_theorem3.stream(family),
+                 _MODULAR),
+    "mq2": (lambda family, power_range: itertools.chain(
+        mq2.verify_results.stream(power_range),
+        mq2.verify_pbw_smoke.stream()), None),
+}
+
+SUITES = (*_SUITES, "all")
 
 
 # one encoder for the JSON values the CLI writes (report params, reduce
@@ -59,50 +76,27 @@ class UsageError(ValueError):
 
 
 def stream_reports(suite, family_token, power_range):
-    """The report stream of one suite; family_token is None only for mq2.
+    """The report stream of one suite, read from its _SUITES row;
+    family_token may be None only where the row accepts None, and is
+    then ignored.
 
     Usage errors are raised by this call, before any report is decided.
     """
-    if suite == "mq2":
-        return itertools.chain(mq2.verify_results.stream(power_range),
-                               mq2.verify_pbw_smoke.stream())
+    runner, accepts = _SUITES[suite]
+    if accepts is None:
+        return runner(None, power_range)
     if family_token is None:
         raise UsageError("suite %s needs --type" % suite)
-    family = _FAMILIES[family_token]
-    if suite == "prop1":
-        return verify_prop1.stream(family, power_range)
-    if suite == "prop2":
-        if family_token != "I":
-            raise UsageError("prop2 is defined for --type I only")
-        return verify_prop2.stream(power_range)
-    if suite == "prop3":
-        return verify_prop3.stream(family, power_range)
-    if suite == "theorem1":
-        return verify_theorem1.stream(family, power_range)
-    if suite == "theorem2":
-        return verify_theorem2.stream(family, power_range)
-    if suite == "theorem3":
-        if family_token == "III":
-            raise UsageError("theorem3 is defined for --type I or II only")
-        return verify_theorem3.stream(family)
-    raise UsageError("unknown suite %r" % suite)
-
-
-def collect_reports(suite, family_token, power_range):
-    """The reports of stream_reports as one list."""
-    return list(stream_reports(suite, family_token, power_range))
+    if family_token not in accepts:
+        raise UsageError("%s is defined for --type %s only"
+                         % (suite, " or ".join(accepts)))
+    return runner(_FAMILIES[family_token], power_range)
 
 
 def suites_for(family_token):
     """The sub-suites `--suite all` runs for one family, in output order."""
-    out = ["prop1"]
-    if family_token == "I":
-        out.append("prop2")
-    out += ["prop3", "theorem1", "theorem2"]
-    if family_token != "III":
-        out.append("theorem3")
-    out.append("mq2")
-    return out
+    return [suite for suite, (_, accepts) in _SUITES.items()
+            if accepts is None or family_token in accepts]
 
 
 def _report_json(report, params):
@@ -242,7 +236,7 @@ def build_parser():
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument("--suite", required=True, choices=SUITES)
-    verify_p.add_argument("--type", choices=("I", "II", "III"))
+    verify_p.add_argument("--type", choices=tuple(_FAMILIES))
     verify_p.add_argument("--range", type=int, default=2,
                           help="half-width of the exponent grids")
     verify_p.add_argument("--format", default="text",
@@ -251,7 +245,7 @@ def build_parser():
 
     modular_p = sub.add_parser("modular", help="apply a letter word "
                                                "to the generator pair")
-    modular_p.add_argument("--type", required=True, choices=("I", "II"))
+    modular_p.add_argument("--type", required=True, choices=_MODULAR)
     modular_p.add_argument("--word", required=True)
     modular_p.add_argument("--format", default="text",
                            choices=("text", "json"))

@@ -260,10 +260,6 @@ class FullMatrix:
             self.e21 * other.e11 + self.e22 * other.e21,
             self.e21 * other.e12 + self.e22 * other.e22)
 
-    def scale(self, coeff):
-        return FullMatrix(self.e11.scale(coeff), self.e12.scale(coeff),
-                          self.e21.scale(coeff), self.e22.scale(coeff))
-
     def entries(self):
         return (self.e11, self.e12, self.e21, self.e22)
 

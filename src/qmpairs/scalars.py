@@ -591,7 +591,3 @@ def quantum_integer(n):
     if n == 0:
         return LaurentScalar.zero()
     return LaurentScalar({(0, t): -1 for t in range(n, 0)})
-
-
-def substitute_r_one(scalar):
-    return scalar.substitute_r_one()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmpairs import TYPE_II, cli, verify_prop1, verify_theorem2
-from qmpairs.cli import SUITES, main, collect_reports, suites_for
+from qmpairs.cli import SUITES, main, stream_reports, suites_for
 from qmpairs.mq2 import QGElement
 from qmpairs.reports import RelationReport
 
@@ -120,20 +120,49 @@ def test_verify_json_byte_deterministic():
     assert first[0] == 0
 
 
-def test_usage_errors_exit_2():
-    for argv in (
-        ["verify", "--suite", "prop1"],                      # no --type
-        ["verify", "--suite", "prop2", "--type", "II"],
-        ["verify", "--suite", "theorem3", "--type", "III"],
-        ["verify", "--suite", "prop1", "--type", "I", "--range", "0"],
-        ["verify", "--suite", "nope", "--type", "I"],
-        ["modular", "--type", "III", "--word", "S"],
-        ["modular", "--type", "I", "--word", "SQT"],
-        ["reduce", "--type", "IV", "a1"],
-        ["bogus"],
-    ):
+# argv that are usage errors, each with its one stderr line
+USAGE_ERRORS = (
+    *((["verify", "--suite", suite],                     # no --type
+      "error: suite %s needs --type\n" % suite)
+      for suite in ("prop1", "prop2", "prop3", "theorem1", "theorem2",
+                    "theorem3", "all")),
+    (["verify", "--suite", "prop2", "--type", "II"],
+     "error: prop2 is defined for --type I only\n"),
+    (["verify", "--suite", "prop2", "--type", "III"],
+     "error: prop2 is defined for --type I only\n"),
+    (["verify", "--suite", "theorem3", "--type", "III"],
+     "error: theorem3 is defined for --type I or II only\n"),
+    (["verify", "--suite", "prop1", "--type", "I", "--range", "0"],
+     "error: --range must be at least 1\n"),
+    (["modular", "--type", "I", "--word", "SQT"],
+     "error: unexpected character 'Q' (column 2)\n"),
+)
+
+# usage errors that argparse reports: usage text, then one error line
+# that starts as given (the list of choices after it varies with the
+# Python version)
+ARGPARSE_ERRORS = (
+    (["verify", "--suite", "nope", "--type", "I"],
+     "qmp verify: error: argument --suite: invalid choice: 'nope'"),
+    (["modular", "--type", "III", "--word", "S"],
+     "qmp modular: error: argument --type: invalid choice: 'III'"),
+    (["reduce", "--type", "IV", "a1"],
+     "qmp reduce: error: argument --type: invalid choice: 'IV'"),
+    (["bogus"], "qmp: error: argument command: invalid choice: 'bogus'"),
+)
+
+
+def test_usage_errors_exit_2(capsys):
+    for argv, message in USAGE_ERRORS:
         code, _ = _run(argv)
+        assert (code, capsys.readouterr().err) == (2, message), argv
+    for argv, start in ARGPARSE_ERRORS:
+        code, _ = _run(argv)
+        err = capsys.readouterr().err.splitlines()
         assert code == 2, argv
+        assert err[0].startswith("usage: qmp"), argv
+        assert [line for line in err if "error:" in line] == err[-1:], argv
+        assert err[-1].startswith(start), argv
 
 
 def test_suite_all_composition():
@@ -145,9 +174,15 @@ def test_suite_all_composition():
 
 
 def test_collect_reports_mq2_needs_no_family():
-    reports = collect_reports("mq2", None, 1)
+    reports = list(stream_reports("mq2", None, 1))
     assert reports
     assert all(r.family == "mq2" for r in reports)
+    # mq2 ignores --type: each token writes the bytes of no --type
+    argv = ["verify", "--suite", "mq2", "--range", "1", "--format", "json"]
+    want = _run(argv)
+    assert want[0] == 0 and want[1]
+    for token in ("I", "II", "III"):
+        assert _run(argv + ["--type", token]) == want, token
 
 
 def test_modular_text_output():
@@ -228,17 +263,7 @@ def test_repeated_calls_match_fresh_calls(capsys, monkeypatch):
 def test_usage_errors_write_nothing():
     """Usage errors are raised before the first report line: the argv of
     test_usage_errors_exit_2 exit 2 with nothing on out."""
-    for argv in (
-        ["verify", "--suite", "prop1"],
-        ["verify", "--suite", "prop2", "--type", "II"],
-        ["verify", "--suite", "theorem3", "--type", "III"],
-        ["verify", "--suite", "prop1", "--type", "I", "--range", "0"],
-        ["verify", "--suite", "nope", "--type", "I"],
-        ["modular", "--type", "III", "--word", "S"],
-        ["modular", "--type", "I", "--word", "SQT"],
-        ["reduce", "--type", "IV", "a1"],
-        ["bogus"],
-    ):
+    for argv, _ in (*USAGE_ERRORS, *ARGPARSE_ERRORS):
         assert _run(argv) == (2, ""), argv
 
 
@@ -274,7 +299,7 @@ def _json_lines(reports):
 @pytest.mark.parametrize("family", ["I", "II", "III"])
 def test_report_json_matches_encoder(family):
     for suite in suites_for(family):
-        reports = collect_reports(suite, family, 2)
+        reports = list(stream_reports(suite, family, 2))
         assert _json_lines(reports) == [_encoded(r) for r in reports]
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qmpairs.scalars import (
     LaurentScalar, ZERO, ONE, q_pow, r_pow, quantum_integer,
-    substitute_r_one,
 )
 
 
@@ -109,7 +108,7 @@ def test_quantum_integer_identities():
         # recurrence
         assert nbar == r_pow(n - 1) + quantum_integer(n - 1), n
         # r = 1 gives the plain integer
-        assert substitute_r_one(nbar) == LaurentScalar.integer(n), n
+        assert nbar.substitute_r_one() == LaurentScalar.integer(n), n
 
 
 def test_quantum_integer_negative_reflection():
@@ -122,8 +121,8 @@ def test_quantum_integer_negative_reflection():
 
 def test_substitute_r_one():
     x = LaurentScalar.monomial(2, 3, 5) + LaurentScalar.monomial(1, 3, -1)
-    assert substitute_r_one(x) == LaurentScalar.monomial(3, 3, 0)
-    assert substitute_r_one(q_pow(4)) == q_pow(4)
+    assert x.substitute_r_one() == LaurentScalar.monomial(3, 3, 0)
+    assert q_pow(4).substitute_r_one() == q_pow(4)
 
 
 def test_canonical_text():
