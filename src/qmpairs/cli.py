@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .algebra import TYPE_I, TYPE_II, TYPE_III
+from .algebra import RelationFamily
 from .grammar import parse_triangular, parse_background, ParseError
 from .pairs import (verify_prop1, verify_prop2, verify_prop3,
                     verify_theorem1, verify_theorem2, generator_pair)
@@ -33,7 +33,7 @@ from . import mq2
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
-_FAMILIES = {"I": TYPE_I, "II": TYPE_II, "III": TYPE_III}
+_FAMILIES = {family.value: family for family in RelationFamily}
 _MODULAR = ("I", "II")
 
 # suite -> (runner(family, power_range), the --type tokens it accepts, or

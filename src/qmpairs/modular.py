@@ -173,14 +173,14 @@ def exponent_rows(pair):
     return tuple(rows)
 
 
-def _member_reports(result, expected, suite, family, label):
+def _member_reports(result, expected, family, label):
     members = ((result.u1, expected.u1), (result.u2, expected.u2))
-    return [compare(got, want, suite, family.value, {},
+    return [compare(got, want, "theorem3", family.value, {},
                     "%s: member %d" % (label, idx))
             for idx, (got, want) in enumerate(members, start=1)]
 
 
-def verify_presentation(family, suite="theorem3"):
+def verify_presentation(family):
     """S^4 and (S T)^3 act as the identity, with the (S T) intermediate.
 
     The intermediate check pins down the scalar bookkeeping: applying
@@ -190,18 +190,18 @@ def verify_presentation(family, suite="theorem3"):
     pair = generator_pair(family)
     out = []
     out += _member_reports(apply_word(parse_word("SSSS"), pair), pair,
-                           suite, family, "S^4 = identity")
+                           family, "S^4 = identity")
     out += _member_reports(apply_word(parse_word("STSTST"), pair), pair,
-                           suite, family, "(ST)^3 = identity")
+                           family, "(ST)^3 = identity")
     factor = q_pow(1) if family is TYPE_I else LaurentScalar.one()
     expected = QPair(pair.u2,
                      (pair.u2.inverse() * pair.u1.inverse()).scale(factor))
     out += _member_reports(apply_word(parse_word("ST"), pair), expected,
-                           suite, family, "(ST) intermediate")
+                           family, "(ST) intermediate")
     return out
 
 
-def check_correspondence(word, family, suite="theorem3"):
+def check_correspondence(word, family):
     """One report: exponent rows of the transformed pair match SL(2, Z)."""
     pair = generator_pair(family)
     word_text = "".join(word) or "(empty)"
@@ -209,10 +209,11 @@ def check_correspondence(word, family, suite="theorem3"):
     try:
         rows = exponent_rows(apply_word(word, pair))
     except CorrespondenceBroken as err:
-        return [RelationReport(suite, family.value, {}, relation, VIOLATED,
-                               False, str(err), word_to_matrix(word).text())]
+        return [RelationReport("theorem3", family.value, {}, relation,
+                               VIOLATED, False, str(err),
+                               word_to_matrix(word).text())]
     return [compare(SL2ZMatrix(*rows[0], *rows[1]), word_to_matrix(word),
-                    suite, family.value, {}, relation)]
+                    "theorem3", family.value, {}, relation)]
 
 
 def random_words(count, max_length, seed):
@@ -227,9 +228,9 @@ def random_words(count, max_length, seed):
 
 
 @streamed
-def verify_theorem3(family, word_count=50, max_length=8, seed=20260816,
-                    suite="theorem3"):
-    """Presentation checks plus a seeded correspondence sample."""
-    yield from verify_presentation(family, suite)
-    for word in random_words(word_count, max_length, seed):
-        yield from check_correspondence(word, family, suite)
+def verify_theorem3(family):
+    """Presentation checks plus a correspondence sample of 50 words of
+    length at most 8, drawn with the fixed seed 20260816."""
+    yield from verify_presentation(family)
+    for word in random_words(50, 8, 20260816):
+        yield from check_correspondence(word, family)

@@ -322,8 +322,7 @@ def quantum_determinant_element(primed=False):
     return quantum_determinant(generator_full_matrix(primed))
 
 
-def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
-            tag=""):
+def check_R(matrix, half_q_exponent, suite=MQ2, params=None, tag=""):
     """The six defining relations among the entries, at Q = s^half.
 
     For the generator matrix and half = 2 these are the rules themselves;
@@ -331,7 +330,7 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, expected=False,
     entry product is the reduced product of two entries of the matrix.
     """
     return _check_relations(_entry_combination(_entry_products(matrix)),
-                            half_q_exponent, suite, params, expected, tag)
+                            half_q_exponent, suite, params, tag)
 
 
 def _relation_table(half):
@@ -354,7 +353,7 @@ def _relation_table(half):
     ]
 
 
-def _check_relations(combination, half, suite, params, expected, tag):
+def _check_relations(combination, half, suite, params, tag):
     """check_R's six relations, each decided by one signed sum.
 
     combination(terms) is the reduced element sum(factor * M_x M_y) over
@@ -374,10 +373,9 @@ def _check_relations(combination, half, suite, params, expected, tag):
         relation = tag + relation
         if combination(lhs + [(x, y, -f) for x, y, f in rhs]):
             out.append(compare(combination(lhs), combination(rhs), suite,
-                               MQ2, params, relation, expected))
+                               MQ2, params, relation))
         else:
-            out.append(RelationReport(suite, MQ2, dict(params), relation,
-                                      HOLDS, expected))
+            out.append(RelationReport(suite, MQ2, dict(params), relation))
     return out
 
 
@@ -478,7 +476,7 @@ def _coproduct_combination(products, images):
 
 
 @streamed
-def verify_results(n_range, suite=MQ2):
+def verify_results(n_range):
     """Power, inverse-power, and primed-product relation grids.
 
     For every |n| <= n_range the entries of U^n satisfy the defining
@@ -509,25 +507,25 @@ def verify_results(n_range, suite=MQ2):
     dq = quantum_determinant_element()
     for name in ("a", "b", "c", "d", "Di"):
         x = QGElement.generator(name)
-        yield compare(dq * x, x * dq, suite, MQ2, {},
+        yield compare(dq * x, x * dq, MQ2, MQ2, {},
                       "Dq*%s = %s*Dq" % (name, name))
     u = generator_full_matrix()
     uinv = qg_inverse_matrix()
     identity = FullMatrix.identity()
-    yield compare(u * uinv, identity, suite, MQ2, {}, "U*U^-1 = I")
-    yield compare(uinv * u, identity, suite, MQ2, {}, "U^-1*U = I")
+    yield compare(u * uinv, identity, MQ2, MQ2, {}, "U*U^-1 = I")
+    yield compare(uinv * u, identity, MQ2, MQ2, {}, "U^-1*U = I")
     for n in range(-n_range, n_range + 1):
         products = _entry_products(fm_pow(u, n, uinv))
         reports = _check_relations(_entry_combination(products), 2 * n,
-                                   suite, {"n": n}, False, "U^n: ")
+                                   MQ2, {"n": n}, "U^n: ")
         yield from reports
         yield from _check_relations(
             _coproduct_combination(products, _row_rewrites(reports, 2 * n)),
-            2 * n, suite, {"n": n}, False, "U^n*U'^n: ")
+            2 * n, MQ2, {"n": n}, "U^n*U'^n: ")
 
 
 @streamed
-def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816, suite=MQ2):
+def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816):
     """Order-independence of the rewriting on random letter words.
 
     Leftmost and rightmost reduce_word must agree with each other and
@@ -546,10 +544,10 @@ def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816, suite=MQ2):
         name = "".join(_LETTER_NAMES[letter] for letter in word) or "(empty)"
         relation = "word %s: strategy-independent normal form" % name
         if left == right and padded == product.terms:
-            yield RelationReport(suite, MQ2, {"n": index}, relation, HOLDS)
+            yield RelationReport(MQ2, MQ2, {"n": index}, relation)
         else:
             texts = ["%s:%s" % (k, v.text()) for k, v in sorted(left.items())]
             rtexts = ["%s:%s" % (k, v.text()) for k, v in sorted(right.items())]
-            yield RelationReport(suite, MQ2, {"n": index}, relation,
+            yield RelationReport(MQ2, MQ2, {"n": index}, relation,
                                  VIOLATED, False, "; ".join(texts),
                                  "; ".join(rtexts))

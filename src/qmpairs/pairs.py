@@ -89,20 +89,17 @@ _MUTUAL = (
 )
 
 
-def _q_commutation(products, half_q_exponent, suite, family, params,
-                   expected=False):
+def _q_commutation(products, half_q_exponent, suite, family, params):
     """M*N = (a1a2, a1b2 + b1c2; 0, c1c2) against
     Q*N*M = Q*(a2a1, a2b1 + b2c1; 0, c2c1), from the eight products."""
     a1a2, a1b2, b1c2, c1c2, a2a1, a2b1, b2c1, c2c1 = products
     return compare(UTMatrix(a1a2, a1b2 + b1c2, c1c2),
                    UTMatrix(a2a1, a2b1 + b2c1, c2c1).scale(
                        q_pow(half_q_exponent)),
-                   suite, family, params,
-                   _Q_COMMUTATION % half_q_exponent, expected)
+                   suite, family, params, _Q_COMMUTATION % half_q_exponent)
 
 
-def _mutual(products, u1, u2, half_q_exponent, suite, family, params,
-            expected=False):
+def _mutual(products, u1, u2, half_q_exponent, suite, family, params):
     """Reports for the six mutual relations of (u1, u2), from the eight
     q-commutation products and the four diagonal cross products a1c2, c2a1,
     a2c1, c1a2, which are reduced here."""
@@ -119,44 +116,39 @@ def _mutual(products, u1, u2, half_q_exponent, suite, family, params,
         (b1c2, a2b1.scale(Q)),
     )
     return [compare(lhs, rhs, suite, family, params,
-                    relation % half_q_exponent, expected)
+                    relation % half_q_exponent)
             for relation, (lhs, rhs) in zip(_MUTUAL, sides)]
 
 
-def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", family=None,
-                        params=None, expected=False):
+def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", params=None):
     """Report whether m1 * m2 = q^(half_q_exponent/2) * m2 * m1."""
     return [_q_commutation(_commutation_products(m1, m2), half_q_exponent,
-                           suite, family or m1.family.value, params or {},
-                           expected)]
+                           suite, m1.family.value, params or {})]
 
 
 def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
-                   family=None, params=None, expected=False, tag=""):
+                   params=None, tag=""):
     """Reports for the internal relations of one triangular matrix.
 
     Checks A*C = C*A, then A*C = central_value when a central value is
     given, then A*B = nd_parameter * B*C.  Diagonal entries must be
     beta-free, which every matrix built from generator products satisfies.
     """
-    family = family or matrix.family.value
+    family = matrix.family.value
+    params = params or {}
     a, b, c = matrix.a11, matrix.a12, matrix.a22
-    out = []
-    out.append(compare(a * c, c * a, suite, family, params or {},
-                       tag + "A*C = C*A", expected))
+    ac = a * c
+    out = [compare(ac, c * a, suite, family, params, tag + "A*C = C*A")]
     if central_value is not None:
-        out.append(compare(a * c, Element.scalar(matrix.family, central_value),
-                           suite, family, params or {},
-                           tag + "A*C = %s" % central_value.text(), expected))
-    nd_text = nd_parameter.text()
+        out.append(compare(ac, Element.scalar(matrix.family, central_value),
+                           suite, family, params,
+                           tag + "A*C = %s" % central_value.text()))
     out.append(compare(a * b, (b * c).scale(nd_parameter), suite, family,
-                       params or {}, tag + "A*B = %s * B*C" % nd_text,
-                       expected))
+                       params, tag + "A*B = %s * B*C" % nd_parameter.text()))
     return out
 
 
-def check_mutual(pair, half_q_exponent, suite="adhoc", params=None,
-                 expected=False):
+def check_mutual(pair, half_q_exponent, suite="adhoc", params=None):
     """Reports for the six mutual relations between the pair's entries.
 
     Q stands for q^(half_q_exponent/2).  The first four lines are the
@@ -164,7 +156,7 @@ def check_mutual(pair, half_q_exponent, suite="adhoc", params=None,
     """
     u1, u2 = pair.u1, pair.u2
     return _mutual(_commutation_products(u1, u2), u1, u2, half_q_exponent,
-                   suite, pair.family.value, params or {}, expected)
+                   suite, pair.family.value, params or {})
 
 
 def _member(pair, n, m):
@@ -208,20 +200,17 @@ def rescale_pair(pair, c1, c2):
     return QPair(out[0], out[1])
 
 
-def verify_pair(pair, half_q_exponent=2, power=1, suite="pair", params=None):
-    """The full family suite for one pair: q-commutation, internal, mutual."""
+def verify_pair(pair, half_q_exponent=2, power=1):
+    """The full family suite for one pair: q-commutation, internal, mutual,
+    reported under the suite name "pair" with no params."""
     central, nd = family_internal_parameters(pair.family, power)
     family = pair.family.value
-    params = params or {}
     u1, u2 = pair.u1, pair.u2
     products = _commutation_products(u1, u2)
-    return ([_q_commutation(products, half_q_exponent, suite, family, params)]
-            + check_internal(pair.u1, central, nd, suite, family, params,
-                             tag="U1: ")
-            + check_internal(pair.u2, central, nd, suite, family, params,
-                             tag="U2: ")
-            + _mutual(products, u1, u2, half_q_exponent, suite, family,
-                      params))
+    return ([_q_commutation(products, half_q_exponent, "pair", family, {})]
+            + check_internal(u1, central, nd, "pair", tag="U1: ")
+            + check_internal(u2, central, nd, "pair", tag="U2: ")
+            + _mutual(products, u1, u2, half_q_exponent, "pair", family, {}))
 
 
 # Diagonal generator pairs and the q-exponent of X Y = q^e Y X.
@@ -261,14 +250,14 @@ def _diagonal_swaps(family, swaps, power_range, suite):
 
 
 @streamed
-def verify_prop1(family, power_range, suite="prop1"):
+def verify_prop1(family, power_range):
     """Power versions of every two-generator relation.
 
     Checks X^n Y^m = q^(e n m) Y^m X^n for the diagonal pairs and
     a_i^n b_j = f^n b_j g_i^n for the mixed pairs, all exponents in
     [-power_range, power_range].
     """
-    yield from _diagonal_swaps(family, _DIAG_SWAPS, power_range, suite)
+    yield from _diagonal_swaps(family, _DIAG_SWAPS, power_range, "prop1")
     rng = range(-power_range, power_range + 1)
     for x, y, s_exp, r_exp in _BETA_SWAPS:
         beta = generator(y, 1, family)
@@ -278,12 +267,12 @@ def verify_prop1(family, power_range, suite="prop1"):
             factor = LaurentScalar.monomial(1, s_exp * n, r_exp * n)
             rhs = (beta * generator(gname, n, family)).scale(factor)
             yield compare(
-                lhs, rhs, suite, family.value, {"n": n},
+                lhs, rhs, "prop1", family.value, {"n": n},
                 "%s^n * %s = f^n * %s * %s^n" % (x, y, y, gname))
 
 
 @streamed
-def verify_prop2(power_range, suite="prop2"):
+def verify_prop2(power_range):
     """Derive the full diagonal table inside the Type I engine.
 
     The Type I kernel only ever applies the a1 a2 = q a2 a1 swap and the
@@ -293,66 +282,66 @@ def verify_prop2(power_range, suite="prop2"):
     """
     yield from _diagonal_swaps(
         TYPE_I, (("a1", "g2", -1), ("a2", "g1", 1), ("g1", "g2", 1)),
-        power_range, suite)
+        power_range, "prop2")
 
 
 @streamed
-def verify_prop3(family, power_range, suite="prop3"):
+def verify_prop3(family, power_range):
     """Repeated multiplication against the closed power form."""
     for index in (1, 2):
         base = generator_matrix(index, family)
         for n in range(-power_range, power_range + 1):
             yield compare(base.pow(n), closed_power(index, n, family),
-                          suite, family.value, {"n": n},
+                          "prop3", family.value, {"n": n},
                           "U%d^n = closed power form" % index)
 
 
-def _theorem1_point(pair, n, m, suite):
+def _theorem1_point(pair, n, m):
     family = pair.family
     product = closed_product_entries(n, m, family)
     power_product = pair.u1_pow(n) * pair.u2_pow(m)
     params = {"n": n, "m": m}
-    out = [compare(product, power_product, suite, family.value, params,
+    out = [compare(product, power_product, "theorem1", family.value, params,
                    "closed entries = U1^n*U2^m")]
     central, nd = family_internal_parameters(family, n)
     if central is not None:
         central = q_pow(2 * n * m)
-    out += check_internal(product, central, nd, suite, family.value, params)
+    out += check_internal(product, central, nd, "theorem1", params)
     return out
 
 
 @streamed
-def verify_theorem1(family, power_range, suite="theorem1",
-                    witness_range=8):
+def verify_theorem1(family, power_range):
     """Internal relations of the product matrix U1^n * U2^m.
 
     Types I and II run the full exponent grid.  Type III runs the diagonal
     n = m, then probes the off-diagonal point (2, 1) for every candidate
-    parameter r^k with |k| <= witness_range; those probes are expected to
-    fail and are reported with expected=True.
+    parameter r^k with |k| <= 8, the witness range; those probes are
+    expected to fail and are reported with expected=True.
     """
     pair = generator_pair(family)
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
         for n in rng:
-            yield from _theorem1_point(pair, n, n, suite)
+            yield from _theorem1_point(pair, n, n)
         probe = closed_product_entries(2, 1, family)
         a, b, c = probe.a11, probe.a12, probe.a22
-        yield compare(a * c, c * a, suite, family.value, {"n": 2, "m": 1},
-                      "A*C = C*A")
+        yield compare(a * c, c * a, "theorem1", family.value,
+                      {"n": 2, "m": 1}, "A*C = C*A")
         lhs = a * b
-        for k in range(-witness_range, witness_range + 1):
+        for k in range(-8, 9):
             rhs = (b * c).scale(r_pow(k))
-            yield compare(lhs, rhs, suite, family.value, {"n": 2, "m": 1},
-                          "A*B = r^%d * B*C" % k, expected=True)
+            yield compare(lhs, rhs, "theorem1", family.value,
+                          {"n": 2, "m": 1}, "A*B = r^%d * B*C" % k,
+                          expected=True)
     else:
         for n in rng:
             for m in rng:
-                yield from _theorem1_point(pair, n, m, suite)
+                yield from _theorem1_point(pair, n, m)
 
 
 @streamed
-def verify_theorem2(family, power_range, suite="theorem2"):
+def verify_theorem2(family, power_range):
     """Every derived pair satisfies the family relations with shifted q.
 
     For exponents (n, m, s, t) the derived pair q-commutes with exponent
@@ -415,29 +404,30 @@ def verify_theorem2(family, power_range, suite="theorem2"):
         reused = (s, t, n, m) in held
         if reused:
             held.remove((s, t, n, m))
-            yield RelationReport(suite, family.value, dict(params),
+            yield RelationReport("theorem2", family.value, dict(params),
                                  _Q_COMMUTATION % half)
         else:
             products = _commutation_products(v1, v2)
-            first = _q_commutation(products, half, suite, family.value,
-                                   params)
+            first = _q_commutation(products, half, "theorem2",
+                                   family.value, params)
             yield first
         for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
             key = (exps, central, nd)
             reports = internal.get(key)
             if reports is None:
                 reports = internal[key] = check_internal(
-                    member, central, nd, suite, family.value)
+                    member, central, nd, "theorem2")
             for report in reports:
-                yield RelationReport(suite, family.value, dict(params),
+                yield RelationReport("theorem2", family.value, dict(params),
                                      tag + report.relation, report.status,
                                      report.expected, report.lhs, report.rhs)
         if reused:
             for relation in _MUTUAL:
-                yield RelationReport(suite, family.value, dict(params),
+                yield RelationReport("theorem2", family.value, dict(params),
                                      relation % half)
             continue
-        mutual = _mutual(products, v1, v2, half, suite, family.value, params)
+        mutual = _mutual(products, v1, v2, half, "theorem2", family.value,
+                         params)
         yield from mutual
         # the twin comes later in the grid exactly when (s, t) > (n, m)
         if mirrored and (s, t) > (n, m) and first.status == HOLDS and \

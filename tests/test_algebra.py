@@ -224,3 +224,4 @@ def test_zero_and_sum_normalization():
         assert x - x == Element.zero(fam)
         assert not (x - x)
         assert (x + x) == x.scale(LaurentScalar.integer(2))
+        assert 3 * x == x + x + x

@@ -10,6 +10,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qmpairs
 from qmpairs import TYPE_II, cli, verify_prop1, verify_theorem2
 from qmpairs.cli import SUITES, main, stream_reports, suites_for
 from qmpairs.mq2 import QGElement
@@ -171,6 +172,24 @@ def test_suite_all_composition():
     assert "prop2" not in suites_for("II")
     assert "theorem3" not in suites_for("III")
     assert suites_for("III")[-1] == "mq2"
+
+
+def test_exported_names_resolve():
+    # the names of __init__.__all__ are the package's contract: 65, each
+    # exported once, and each one resolves
+    assert len(qmpairs.__all__) == len(set(qmpairs.__all__)) == 65
+    for name in qmpairs.__all__:
+        assert getattr(qmpairs, name) is not None, name
+
+
+def test_suite_rows_name_their_reports():
+    # every report of a suite's runner carries the suite's row name, for
+    # each --type token the row accepts
+    for suite, (_, accepts) in cli._SUITES.items():
+        for token in accepts or (None,):
+            reports = list(stream_reports(suite, token, 1))
+            assert reports, (suite, token)
+            assert {r.suite for r in reports} == {suite}, (suite, token)
 
 
 def test_collect_reports_mq2_needs_no_family():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qmpairs.scalars import q_pow
+from qmpairs import modular
+from qmpairs.scalars import LaurentScalar, q_pow
 from qmpairs.algebra import TYPE_I, TYPE_II, TYPE_III
 from qmpairs.pairs import QPair, generator_pair
 from qmpairs.modular import (
@@ -107,6 +108,22 @@ def test_correspondence_sampled_words():
     for fam in (TYPE_I, TYPE_II):
         for word in random_words(50, 8, seed=20260816):
             assert not _bad(check_correspondence(word, fam)), (fam, word)
+
+
+def test_correspondence_reports_a_broken_member(monkeypatch):
+    """A transformed member that is no unit scalar times a power product
+    gives one violated report: the error text against the letter matrix."""
+    pair = generator_pair(TYPE_I)
+    broken = pair.u1.scale(LaurentScalar.integer(2))
+    monkeypatch.setattr(modular, "apply_word",
+                        lambda word, pair: QPair(broken, pair.u2))
+    word = parse_word("S T")
+    report, = check_correspondence(word, TYPE_I)
+    assert report.status == "violated" and not report.expected
+    assert report.lhs == ("member is not a scalar multiple of a power "
+                          "product: %s" % broken.text())
+    assert report.rhs == word_to_matrix(word).text() == "[[0, 1], [-1, -1]]"
+    assert (report.suite, report.family) == ("theorem3", "I")
 
 
 def test_theorem3_suite_shape():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from qmpairs import mq2
 from qmpairs.scalars import q_pow, ONE
 from qmpairs.mq2 import (
     QGElement, FullMatrix, generator_full_matrix, qg_inverse_matrix,
@@ -124,6 +125,30 @@ def test_pbw_order_independence():
     assert not _bad(verify_pbw_smoke(word_count=150, max_length=6, seed=4))
 
 
+def test_pbw_smoke_reports_disagreeing_strategies(monkeypatch):
+    """When the two strategies disagree on one word, its report alone is
+    violated, and carries the leftmost and the rightmost normal form."""
+    words = []
+
+    def skewed(word, strategy="leftmost"):
+        out = reduce_word(word, strategy)
+        if strategy == "rightmost":
+            words.append(word)
+            if len(words) == 2:
+                out[(9, 9, 9, 9)] = ONE
+        return out
+
+    monkeypatch.setattr(mq2, "reduce_word", skewed)
+    reports = verify_pbw_smoke(word_count=5, max_length=4, seed=7)
+    assert len(reports) == 5
+    bad, = _bad(reports)
+    assert (bad.suite, bad.family, bad.params) == ("mq2", "mq2", {"n": 1})
+    left = "; ".join("%s:%s" % (key, coeff.text())
+                     for key, coeff in sorted(reduce_word(words[1]).items()))
+    assert bad.lhs == left
+    assert bad.rhs == left + "; (9, 9, 9, 9):1"
+
+
 def test_reduce_word_strategies_agree():
     rng = random.Random(23)
     for _ in range(80):
@@ -217,14 +242,14 @@ def _mixed(n, fault=None):
 def _table_reports(x, half, tag):
     """The U^n row of verify_results: signed sums of entry products."""
     return _check_relations(_entry_combination(_entry_products(x)), half,
-                            "mq2", {"n": 0}, False, tag)
+                            "mq2", {"n": 0}, tag)
 
 
 def _images(products, half):
     """The rewrites verify_results hands the join: those of the U^n rows
     at half that hold."""
     reports = _check_relations(_entry_combination(products), half, "mq2",
-                               {}, False, "")
+                               {}, "")
     return _row_rewrites(reports, half)
 
 
@@ -233,7 +258,7 @@ def _coproduct_reports(x, half, tag):
     products = _entry_products(x)
     return _check_relations(
         _coproduct_combination(products, _images(products, half)), half,
-        "mq2", {"n": 0}, False, tag)
+        "mq2", {"n": 0}, tag)
 
 
 def test_coproduct_products_match_direct_products():
@@ -258,7 +283,7 @@ def test_coproduct_products_match_direct_products():
             == entries[0] * entries[3] - entries[3] * entries[0] \
             + (entries[1] * entries[2]).scale(q_pow(n))
         params = {"n": n}
-        assert _check_relations(combination, 2 * n, "mq2", params, False,
+        assert _check_relations(combination, 2 * n, "mq2", params,
                                 "U^n*U'^n: ") == \
             check_matrix(mixed, 2 * n, "mq2", params, tag="U^n*U'^n: ")
 
@@ -346,7 +371,7 @@ def test_row_rewrites_are_exact():
         products = _entry_products(_mixed(n, fault)[0])
         for half in (2 * n, 2 * n + 2):
             reports = _check_relations(_entry_combination(products), half,
-                                       "mq2", {}, False, "")
+                                       "mq2", {}, "")
             images = _row_rewrites(reports, half)
             for sym, image in images.items():
                 value = QGElement.zero()
@@ -362,7 +387,7 @@ def test_row_rewrites_are_exact():
                                              (3, 0), (3, 1), (3, 2)]
                 assert not _bad(_check_relations(
                     _coproduct_combination({}, images), half, "mq2", {},
-                    False, ""))
+                    ""))
     assert violated
 
 

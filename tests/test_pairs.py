@@ -103,10 +103,10 @@ def _theorem2_reference(family, power_range, member=_reference_member):
         out.append(compare(v1 * v2, (v2 * v1).scale(q_pow(half)),
                            "theorem2", family.value, params,
                            "M*N = s^%d * N*M" % half))
-        out += check_internal(v1, central, nd, "theorem2", family.value,
-                              params, tag="V1: ")
-        out += check_internal(v2, central, nd, "theorem2", family.value,
-                              params, tag="V2: ")
+        out += check_internal(v1, central, nd, "theorem2", params,
+                              tag="V1: ")
+        out += check_internal(v2, central, nd, "theorem2", params,
+                              tag="V2: ")
         out += check_mutual(QPair(v1, v2), half, "theorem2", params)
     return out
 

@@ -71,6 +71,8 @@ def test_integer_coercion_and_equality():
     assert ZERO == 0
     assert 2 + q_pow(2) == q_pow(2) + LaurentScalar.integer(2)
     assert 3 * r_pow(1) == r_pow(1) + r_pow(1) + r_pow(1)
+    assert 1 - q_pow(2) == LaurentScalar.integer(1) - q_pow(2)
+    assert (1 - q_pow(2)).text() == "1 - s^2"
 
 
 def test_power_and_monomial_inverse():
