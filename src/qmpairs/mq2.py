@@ -16,12 +16,13 @@ Products work on exponent blocks by closed rules (see _block_mul), with
 one bounded cache of block products.  reduce_word applies the directed
 rules one adjacent swap at a time and is the independent oracle.
 
-verify_results decides the relations of U^n and of U^n U'^n from the 16
-products of two entries of U^n.  The coproduct is an algebra map, so a
-mixed relation follows from the U^n relations just decided: it is
-closed by a certificate, linear algebra over those 16 products read as
-symbols, and joined through the coproduct only when the certificate
-cannot close it (see _coproduct_combination).
+verify_results decides the relations of U^n and of U^n U'^n from
+products of two matrix entries, each reduced when a relation first
+reads it.  The coproduct is an algebra map, so a mixed relation follows
+from the U^n relations just decided: it is closed by a certificate,
+linear algebra over the entry products of U^n read as symbols, and
+U^n U'^n is formed only when the certificate cannot close a row (see
+_coproduct_combination).
 """
 
 import operator
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
                       power, ONE)
-from .reports import RelationReport, HOLDS, VIOLATED, compare, streamed
+from .reports import RelationReport, HOLDS, compare, streamed
 
 MQ2 = "mq2"
 
@@ -329,8 +330,8 @@ def check_R(matrix, half_q_exponent, suite=MQ2, params=None, tag=""):
     powers of the generator satisfy them with the exponent scaled.  Each
     entry product is the reduced product of two entries of the matrix.
     """
-    return _check_relations(_entry_combination(_entry_products(matrix)),
-                            half_q_exponent, suite, params, tag)
+    return _check_relations(_entry_combination(matrix), half_q_exponent,
+                            suite, params, tag)
 
 
 def _relation_table(half):
@@ -379,25 +380,26 @@ def _check_relations(combination, half, suite, params, tag):
     return out
 
 
-def _entry_combination(products):
-    """combination(terms) for _check_relations, from products, an
-    _entry_products table."""
+def _entry_combination(matrix):
+    """combination(terms) for _check_relations over the entries of matrix.
+
+    Each product of two entries is reduced the first time a term reads
+    it and kept for later rows.  The relation rows read 12 of the 16
+    products, and no square M_x M_x.
+    """
+    entries = matrix.entries()
+    products = {}
+
     def combination(terms):
         out = {}
         for x, y, factor in terms:
+            if (x, y) not in products:
+                products[x, y] = entries[x] * entries[y]
             for mono, coeff in products[x, y].terms.items():
                 accumulate(out, mono, coeff * factor)
         return _wrap_element(out)
 
     return combination
-
-
-def _entry_products(matrix):
-    """The 16 reduced products of two entries, keyed (x, y) as in
-    _relation_table."""
-    entries = matrix.entries()
-    return {(x, y): entries[x] * entries[y]
-            for x in range(4) for y in range(4)}
 
 
 def _row_rewrites(reports, half):
@@ -422,33 +424,32 @@ def _row_rewrites(reports, half):
     return images
 
 
-def _coproduct_combination(products, images):
+def _coproduct_combination(images, mixed):
     """combination(terms) over the entries of M = X X', for
-    _check_relations.
+    _check_relations, where mixed() forms M.
 
-    X has unprimed entries only, as U^n, and products is its
-    _entry_products table.  X' is X with every letter primed, as U'^n,
-    and the primed letters obey the same relations, so X'_aj X'_bl is
-    X_aj X_bl with its blocks in the primed slots.  M_ij = sum_a X_ia X'_aj,
-    and since primed letters commute with unprimed ones,
+    X has unprimed entries only, as U^n, and X' is X with every letter
+    primed, as U'^n, so each row that holds for X holds for X'.
+    M_ij = sum_a X_ia X'_aj, and since primed letters commute with
+    unprimed ones,
 
-        M_ij M_kl = sum_(a,b) (X_ia X_kb) (X'_aj X'_bl),
+        M_ij M_kl = sum_(a,b) (X_ia X_kb) (X'_aj X'_bl).
 
-    where the normal form of an unprimed-only times a primed-only
-    monomial is the two blocks side by side.  This is the statement that
-    the coproduct u_ij -> sum_a u_ia (x) u_aj is an algebra map.
-
-    A row sum(f_t M_x M_y) is thus a sum of tensors f u (x) w of symbols
-    u = (ia, kb) and w = (aj, bl), four to a term.  Both factors are
-    mapped by images (see _row_rewrites) and the coefficients collected
-    on pairs of symbols.  If all cancel, the row is zero by bilinearity
-    over Z[s^+-1], and products is never read.  The coproduct maps each
+    This is the statement that the coproduct u_ij -> sum_a u_ia (x) u_aj
+    is an algebra map.  A row sum(f_t M_x M_y) is thus a sum of tensors
+    f u (x) w of symbols u = (ia, kb) and w = (aj, bl), four to a term.
+    Both factors are mapped by images (see _row_rewrites) and the
+    coefficients collected on pairs of symbols.  If all cancel, the row
+    is zero by bilinearity over Z[s^+-1].  The coproduct maps each
     defining relation into the span of relation (x) element and
     element (x) relation, so when every row of X held, every row of M
-    cancels.  Otherwise each tensor is expanded and joined monomial by
-    monomial, which is exact: the normal-form monomials are a basis and
-    accumulate drops zero coefficients.
+    cancels and mixed is never called.  Any other row is summed from the
+    entry products of M itself, formed once by mixed(), which is exact:
+    the normal-form monomials are a basis and accumulate drops zero
+    coefficients.
     """
+    fallback = lru_cache(maxsize=None)(lambda: _entry_combination(mixed()))
+
     def combination(terms):
         tensors = []
         for x, y, factor in terms:
@@ -461,16 +462,9 @@ def _coproduct_combination(products, images):
             for su, cu in images[u]:
                 for sw, cw in images[w]:
                     accumulate(pairs, (su, sw), factor * cu * cw)
-        out = {}
-        if pairs:
-            for u, w, factor in tensors:
-                right = [(mono[:5], coeff)
-                         for mono, coeff in products[w].terms.items()]
-                for mono, coeff in products[u].terms.items():
-                    coeff = coeff * factor
-                    for pblock, pcoeff in right:
-                        accumulate(out, mono[:5] + pblock, coeff * pcoeff)
-        return _wrap_element(out)
+        if not pairs:
+            return QGElement.zero()
+        return fallback()(terms)
 
     return combination
 
@@ -480,21 +474,15 @@ def verify_results(n_range):
     """Power, inverse-power, and primed-product relation grids.
 
     For every |n| <= n_range the entries of U^n satisfy the defining
-    relations at parameter q^n, and so do the entries of U^n U'^n.
-    Centrality of the quantum determinant and exactness of the displayed
-    inverse are checked alongside.  The products of two entries of U^n
-    are reduced once per n and serve both rows: the U^n relations read
-    them directly, and the U^n U'^n relations are decided from them
-    through the coproduct (_coproduct_combination), never formed from
-    the big entries of U^n U'^n.  U'^n is U^n with every letter primed,
-    and primed letters commute with unprimed ones.  Each U^n row just
-    reported as holding rewrites one of the 16 products in terms of the
-    others (_row_rewrites).  When all six held, the coefficients of every
-    mixed row cancel under these rewrites on both tensor factors, since
-    the coproduct is an algebra map (Faddeev, Reshetikhin and
-    Takhtajan), and the row is zero by bilinearity: no product of the
-    primed block is formed.  A row that does not cancel is joined tensor
-    by tensor.
+    relations at parameter q^n, and so do the entries of U^n U'^n, where
+    U'^n is U^n with every letter primed.  Centrality of the quantum
+    determinant and exactness of the displayed inverse are checked
+    alongside.  Each U^n row just reported as holding rewrites one entry
+    product in terms of the others (_row_rewrites).  When all six held,
+    every mixed row cancels under these rewrites, since the coproduct is
+    an algebra map (Faddeev, Reshetikhin and Takhtajan), and U^n U'^n is
+    never formed; a row that does not cancel is decided on U^n U'^n,
+    formed once for that n (_coproduct_combination).
 
     Each of the six relations is one row of _relation_table, a signed
     sum of entry products that must vanish, and _check_relations decides
@@ -514,13 +502,15 @@ def verify_results(n_range):
     identity = FullMatrix.identity()
     yield compare(u * uinv, identity, MQ2, MQ2, {}, "U*U^-1 = I")
     yield compare(uinv * u, identity, MQ2, MQ2, {}, "U^-1*U = I")
+    up = generator_full_matrix(primed=True)
+    upinv = qg_inverse_matrix(primed=True)
     for n in range(-n_range, n_range + 1):
-        products = _entry_products(fm_pow(u, n, uinv))
-        reports = _check_relations(_entry_combination(products), 2 * n,
-                                   MQ2, {"n": n}, "U^n: ")
+        x = fm_pow(u, n, uinv)
+        reports = check_R(x, 2 * n, MQ2, {"n": n}, "U^n: ")
         yield from reports
         yield from _check_relations(
-            _coproduct_combination(products, _row_rewrites(reports, 2 * n)),
+            _coproduct_combination(_row_rewrites(reports, 2 * n),
+                                   lambda: x * fm_pow(up, n, upinv)),
             2 * n, MQ2, {"n": n}, "U^n*U'^n: ")
 
 
@@ -529,25 +519,22 @@ def verify_pbw_smoke(word_count=300, max_length=6, seed=20260816):
     """Order-independence of the rewriting on random letter words.
 
     Leftmost and rightmost reduce_word must agree with each other and
-    with the product of the letters as QGElements.
+    with the product of the letters as QGElements.  A violated word
+    reports the two strategies' forms, or, when they agree, that form
+    and the product.
     """
     import random
     rng = random.Random(seed)
     for index in range(word_count):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(0, max_length)))
-        left = reduce_word(word, "leftmost")
-        right = reduce_word(word, "rightmost")
+        left, right = (
+            QGElement({key + (0,) * 6: coeff
+                       for key, coeff in reduce_word(word, strategy).items()})
+            for strategy in ("leftmost", "rightmost"))
         product = QGElement.one()
         for letter in word:
             product = product * QGElement.generator(_LETTER_NAMES[letter])
-        padded = {key + (0,) * 6: coeff for key, coeff in left.items()}
         name = "".join(_LETTER_NAMES[letter] for letter in word) or "(empty)"
         relation = "word %s: strategy-independent normal form" % name
-        if left == right and padded == product.terms:
-            yield RelationReport(MQ2, MQ2, {"n": index}, relation)
-        else:
-            texts = ["%s:%s" % (k, v.text()) for k, v in sorted(left.items())]
-            rtexts = ["%s:%s" % (k, v.text()) for k, v in sorted(right.items())]
-            yield RelationReport(MQ2, MQ2, {"n": index}, relation,
-                                 VIOLATED, False, "; ".join(texts),
-                                 "; ".join(rtexts))
+        yield compare(left, product if left == right else right, MQ2, MQ2,
+                      {"n": index}, relation)

@@ -11,7 +11,9 @@ their order are the contract both must keep.
 plain_join is the coproduct join that expands every tensor, the
 reference mq2._coproduct_combination is tested against, both where its
 certificate from the held U^n rows closes a row and where it falls back
-to a join of its own.
+to the entry products of U^n U'^n.  It builds its own 16 products of
+two entries of U^n (entry_products), squares included, and never forms
+U^n U'^n.
 """
 
 from qmpairs.mq2 import QGElement
@@ -50,17 +52,23 @@ def check_matrix(matrix, half, suite="mq2", params=None, expected=False,
                            params, expected, tag)
 
 
-def plain_join(products):
+def entry_products(matrix):
+    """The 16 reduced products of two entries of matrix, keyed (x, y)."""
+    entries = matrix.entries()
+    return {(x, y): entries[x] * entries[y]
+            for x in range(4) for y in range(4)}
+
+
+def plain_join(matrix):
     """combination(terms) over the entries of X X', X' the primed copy of
-    X, from products, the 16 reduced products of two entries of X keyed
-    (x, y).
+    X = matrix, from the 16 reduced products of two entries of X.
 
     Every term (x, y, factor) expands into its four tensors
     factor (X_ia X_kb) (x) (X'_aj X'_bl), each joined monomial by
     monomial into one dict, with no grouping and no merging.
     """
     blocks = {key: [(mono[:5], coeff) for mono, coeff in value.terms.items()]
-              for key, value in products.items()}
+              for key, value in entry_products(matrix).items()}
 
     def combination(terms):
         out = {}

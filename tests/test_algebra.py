@@ -225,3 +225,8 @@ def test_zero_and_sum_normalization():
         assert not (x - x)
         assert (x + x) == x.scale(LaurentScalar.integer(2))
         assert 3 * x == x + x + x
+        assert x * 3 == 3 * x == x.scale(3)
+        assert x * q_pow(2) == x.scale(q_pow(2))
+        assert Element.scalar(fam, 3) == Element.one(fam).scale(3)
+        with pytest.raises(TypeError):
+            x * "a"

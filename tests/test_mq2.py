@@ -13,10 +13,11 @@ from qmpairs.mq2 import (
     fm_mul, fm_pow, quantum_determinant, quantum_determinant_element,
     check_R, verify_results, verify_pbw_smoke, reduce_word,
     _block_mul, _check_relations, _coproduct_combination, _entry_combination,
-    _entry_products, _relation_table, _row_rewrites,
+    _relation_table, _row_rewrites,
 )
+from qmpairs.grammar import parse_background
 
-from relation_oracle import check_matrix, check_relations, plain_join
+from relation_oracle import check_matrix, entry_products, plain_join
 
 gen = QGElement.generator
 
@@ -125,28 +126,63 @@ def test_pbw_order_independence():
     assert not _bad(verify_pbw_smoke(word_count=150, max_length=6, seed=4))
 
 
-def test_pbw_smoke_reports_disagreeing_strategies(monkeypatch):
-    """When the two strategies disagree on one word, its report alone is
-    violated, and carries the leftmost and the rightmost normal form."""
+def _skew_word(monkeypatch, strategies):
+    """Patch reduce_word to add a^9 b^9 c^9 d^9 to the forms that the
+    given strategies give the second word; return the words seen."""
     words = []
 
     def skewed(word, strategy="leftmost"):
         out = reduce_word(word, strategy)
-        if strategy == "rightmost":
+        if strategy == "leftmost":
             words.append(word)
-            if len(words) == 2:
-                out[(9, 9, 9, 9)] = ONE
+        if len(words) == 2 and strategy in strategies:
+            out[(9, 9, 9, 9)] = ONE
         return out
 
     monkeypatch.setattr(mq2, "reduce_word", skewed)
+    return words
+
+
+def _form(word, extra=False):
+    """The leftmost normal form of word as a QGElement, plus
+    a^9 b^9 c^9 d^9 when extra is set."""
+    terms = {key + (0,) * 6: coeff
+             for key, coeff in reduce_word(word).items()}
+    if extra:
+        terms[(9, 9, 9, 9) + (0,) * 6] = ONE
+    return QGElement(terms)
+
+
+def test_pbw_smoke_reports_disagreeing_strategies(monkeypatch):
+    """When the two strategies disagree on one word, its report alone is
+    violated, and carries the leftmost and the rightmost normal form as
+    monomial texts that parse_background reads back."""
+    words = _skew_word(monkeypatch, ("rightmost",))
     reports = verify_pbw_smoke(word_count=5, max_length=4, seed=7)
     assert len(reports) == 5
     bad, = _bad(reports)
     assert (bad.suite, bad.family, bad.params) == ("mq2", "mq2", {"n": 1})
-    left = "; ".join("%s:%s" % (key, coeff.text())
-                     for key, coeff in sorted(reduce_word(words[1]).items()))
-    assert bad.lhs == left
-    assert bad.rhs == left + "; (9, 9, 9, 9):1"
+    left, right = _form(words[1]), _form(words[1], extra=True)
+    assert (bad.lhs, bad.rhs) == (left.text(), right.text())
+    assert bad.rhs.endswith(" + a^9 * b^9 * c^9 * d^9")
+    assert parse_background(bad.lhs) == left
+    assert parse_background(bad.rhs) == right
+
+
+def test_pbw_smoke_reports_agreeing_wrong_form(monkeypatch):
+    """When both strategies agree on a form that is not the product of
+    the letters, the report carries that form and the product's text."""
+    words = _skew_word(monkeypatch, ("leftmost", "rightmost"))
+    reports = verify_pbw_smoke(word_count=5, max_length=4, seed=7)
+    bad, = _bad(reports)
+    assert bad.params == {"n": 1}
+    wrong = _form(words[1], extra=True)
+    product = QGElement.one()
+    for letter in words[1]:
+        product = product * gen("abcd"[letter])
+    assert (bad.lhs, bad.rhs) == (wrong.text(), product.text())
+    assert parse_background(bad.lhs) == wrong
+    assert parse_background(bad.rhs) == product
 
 
 def test_reduce_word_strategies_agree():
@@ -241,40 +277,42 @@ def _mixed(n, fault=None):
 
 def _table_reports(x, half, tag):
     """The U^n row of verify_results: signed sums of entry products."""
-    return _check_relations(_entry_combination(_entry_products(x)), half,
-                            "mq2", {"n": 0}, tag)
+    return _check_relations(_entry_combination(x), half, "mq2", {"n": 0},
+                            tag)
 
 
-def _images(products, half):
-    """The rewrites verify_results hands the join: those of the U^n rows
-    at half that hold."""
-    reports = _check_relations(_entry_combination(products), half, "mq2",
-                               {}, "")
+def _images(x, half):
+    """The rewrites verify_results hands the certificate: those of the
+    U^n rows at half that hold."""
+    reports = _check_relations(_entry_combination(x), half, "mq2", {}, "")
     return _row_rewrites(reports, half)
 
 
-def _coproduct_reports(x, half, tag):
-    """The U^n*U'^n row of verify_results: one coproduct sum per row."""
-    products = _entry_products(x)
+def _unformed():
+    raise AssertionError("U^n U'^n formed")
+
+
+def _coproduct_reports(x, mixed, half, tag):
+    """The U^n*U'^n row of verify_results: one certificate per row, and
+    the entry products of mixed = x * y for a row that it cannot close."""
     return _check_relations(
-        _coproduct_combination(products, _images(products, half)), half,
+        _coproduct_combination(_images(x, half), lambda: mixed), half,
         "mq2", {"n": 0}, tag)
 
 
 def test_coproduct_products_match_direct_products():
-    """The joined entry products of U^n U'^n against the direct ones, and
-    the relation reports against the two-sided oracle.
+    """The coproduct combination's entry products of U^n U'^n against
+    the direct ones, and the relation reports against the two-sided
+    oracle.
 
-    The join reads only the products of two U^n entries; U'^n enters
-    through the direct product x * y alone.
+    The relation rows cancel under the certificate; the single products
+    do not, and are read from the entry products of x * y.
     """
     for n in range(-3, 4):
         x, y = _mixed(n)
         mixed = x * y
         entries = mixed.entries()
-        products = _entry_products(x)
-        combination = _coproduct_combination(products,
-                                             _images(products, 2 * n))
+        combination = _coproduct_combination(_images(x, 2 * n), lambda: mixed)
         for i in range(4):
             for k in range(4):
                 assert combination([(i, k, ONE)]) == \
@@ -294,8 +332,9 @@ def test_coproduct_violation_text_matches_direct_path():
     for n in range(-3, 4):
         x, y = _mixed(n)
         half = 2 * n + 2
-        factored = _coproduct_reports(x, half, "U^n*U'^n: ")
-        assert factored == check_matrix(x * y, half, params={"n": 0},
+        mixed = x * y
+        factored = _coproduct_reports(x, mixed, half, "U^n*U'^n: ")
+        assert factored == check_matrix(mixed, half, params={"n": 0},
                                         tag="U^n*U'^n: ")
         table = _table_reports(x, half, "U^n: ")
         assert table == check_matrix(x, half, params={"n": 0}, tag="U^n: ")
@@ -311,10 +350,8 @@ def test_relation_table_matches_two_sided_oracle():
     for U^n at the right and the wrong parameter, and for check_R."""
     for n in range(-3, 4):
         x, _ = _mixed(n)
-        products = _entry_products(x)
         for half in (2 * n, 2 * n + 2):
-            want = check_relations(lambda i, k: products[i, k], half, "mq2",
-                                   {"n": 0}, False, "U^n: ")
+            want = check_matrix(x, half, "mq2", {"n": 0}, tag="U^n: ")
             assert _table_reports(x, half, "U^n: ") == want, (n, half)
             assert check_R(x, half, "mq2", {"n": 0}, tag="U^n: ") == want
 
@@ -324,14 +361,15 @@ def test_planted_fault_matches_two_sided_oracle():
     the table row, check_R and the coproduct row report what the oracle
     reports, violations included.  The faults violate U^n rows, which
     then rewrite no product, so the coproduct rows that do not cancel
-    fall back to the join of every tensor."""
+    are decided on the entry products of U^n U'^n."""
     for fault, n in itertools.product(FAULTS, range(-3, 4)):
         x, y = _mixed(n, fault)
         table = _table_reports(x, 2 * n, "U^n: ")
         assert table == check_matrix(x, 2 * n, params={"n": 0}, tag="U^n: ")
         assert check_R(x, 2 * n, params={"n": 0}, tag="U^n: ") == table
-        factored = _coproduct_reports(x, 2 * n, "U^n*U'^n: ")
-        assert factored == check_matrix(x * y, 2 * n, params={"n": 0},
+        mixed = x * y
+        factored = _coproduct_reports(x, mixed, 2 * n, "U^n*U'^n: ")
+        assert factored == check_matrix(mixed, 2 * n, params={"n": 0},
                                         tag="U^n*U'^n: ")
         # at n = 0, Q = 1 and the identity plus one entry still obeys
         # every relation, its entries commuting
@@ -365,13 +403,14 @@ def test_row_rewrites_are_exact():
     on U^n with and without a planted fault, at its own and the wrong
     parameter.  A violated row rewrites nothing, and on the fault-free
     U^n at its own parameter all six rows rewrite and every coproduct
-    row cancels without reading a product."""
+    row cancels without forming U^n U'^n."""
     violated = 0
     for fault, n in itertools.product((None,) + FAULTS, range(-3, 4)):
-        products = _entry_products(_mixed(n, fault)[0])
+        x = _mixed(n, fault)[0]
+        products = entry_products(x)
         for half in (2 * n, 2 * n + 2):
-            reports = _check_relations(_entry_combination(products), half,
-                                       "mq2", {}, "")
+            reports = _check_relations(_entry_combination(x), half, "mq2",
+                                       {}, "")
             images = _row_rewrites(reports, half)
             for sym, image in images.items():
                 value = QGElement.zero()
@@ -386,9 +425,70 @@ def test_row_rewrites_are_exact():
                 assert sorted(rewritten) == [(1, 0), (2, 0), (2, 1),
                                              (3, 0), (3, 1), (3, 2)]
                 assert not _bad(_check_relations(
-                    _coproduct_combination({}, images), half, "mq2", {},
-                    ""))
+                    _coproduct_combination(images, _unformed), half, "mq2",
+                    {}, ""))
     assert violated
+
+
+def test_fault_free_grid_never_forms_the_mixed_matrix(monkeypatch):
+    """On the fault-free grid the certificate closes every mixed row, so
+    U^n U'^n is never formed, and each n reduces the 12 entry products
+    of U^n that the relation rows read, each once and no square."""
+    real_coproduct, real_entries = _coproduct_combination, _entry_combination
+    monkeypatch.setattr(mq2, "_coproduct_combination",
+                        lambda images, mixed: real_coproduct(images,
+                                                             _unformed))
+    reads = []
+
+    class Entry(QGElement):
+        __slots__ = ("slot",)
+
+        def __mul__(self, other):
+            reads[-1].append((self.slot, other.slot))
+            return QGElement.__mul__(self, other)
+
+    def tagged(matrix):
+        reads.append([])
+        entries = [Entry(entry.terms) for entry in matrix.entries()]
+        for slot, entry in enumerate(entries):
+            entry.slot = slot
+        return real_entries(FullMatrix(*entries))
+
+    monkeypatch.setattr(mq2, "_entry_combination", tagged)
+    assert not _bad(verify_results(3))
+    read = {(x, y) for _, lhs, rhs in _relation_table(2)
+            for x, y, _ in lhs + rhs}
+    assert len(read) == 12 and all(x != y for x, y in read)
+    assert len(reads) == 7
+    assert all(sorted(n_reads) == sorted(read) for n_reads in reads), reads
+
+
+def test_planted_fault_forms_the_mixed_matrix_once_per_n(monkeypatch):
+    """Under a planted fault in U^n and U'^n, every n != 0 has violated
+    rows that the certificate cannot close, U'^n, with it U^n U'^n, is
+    formed once for that n, and the mixed reports are those of the
+    two-sided oracle on U^n U'^n."""
+    real_pow = fm_pow
+    primed_generator = generator_full_matrix(primed=True)
+    formed = []
+
+    def faulty_pow(matrix, n, inverse=None):
+        suffix = "'" if matrix == primed_generator else ""
+        if suffix:
+            formed.append(n)
+        return _perturbed(real_pow(matrix, n, inverse), FAULTS[0], suffix)
+
+    monkeypatch.setattr(mq2, "fm_pow", faulty_pow)
+    reports = verify_results(3)
+    assert formed == [-3, -2, -1, 1, 2, 3]
+    assert {r.params["n"] for r in _bad(reports)} == set(formed)
+    monkeypatch.undo()
+    tag = "U^n*U'^n: "
+    for n in (-1, 1):
+        x, y = _mixed(n, FAULTS[0])
+        assert [r for r in reports if r.relation.startswith(tag)
+                and r.params == {"n": n}] == \
+            check_matrix(x * y, 2 * n, params={"n": n}, tag=tag)
 
 
 def test_certificate_join_matches_plain_join():
@@ -398,11 +498,11 @@ def test_certificate_join_matches_plain_join():
     rng = random.Random(20261019)
     for n in range(-3, 4):
         for fault in (None,) + FAULTS:
-            products = _entry_products(_mixed(n, fault)[0])
-            plain = plain_join(products)
+            x, y = _mixed(n, fault)
+            plain = plain_join(x)
             for half in (2 * n, 2 * n + 2):
-                joined = _coproduct_combination(products,
-                                                _images(products, half))
+                joined = _coproduct_combination(_images(x, half),
+                                                lambda: x * y)
                 for terms in _random_rows(rng, half, 4):
                     assert joined(terms) == plain(terms), (n, fault, terms)
 
@@ -416,8 +516,9 @@ def test_planted_fault_at_wrong_parameter_matches_two_sided_oracle():
     for fault, n in itertools.product(FAULTS, range(-3, 4)):
         x, y = _mixed(n, fault)
         half = 2 * n + 2
-        factored = _coproduct_reports(x, half, "U^n*U'^n: ")
-        assert factored == check_matrix(x * y, half, params={"n": 0},
+        mixed = x * y
+        factored = _coproduct_reports(x, mixed, half, "U^n*U'^n: ")
+        assert factored == check_matrix(mixed, half, params={"n": 0},
                                         tag="U^n*U'^n: "), (fault, n)
         violated += len(_bad(factored))
     assert violated
