@@ -67,10 +67,6 @@ _REPORT_LINE = ('{"expected": %s, "family": %s, "lhs": %s, "params": %s, '
                 '"relation": %s, "rhs": %s, "status": %s, "suite": %s}')
 
 
-# params values whose JSON is fixed by their type and ==
-_FLAT_TYPES = frozenset((int, bool, str))
-
-
 class UsageError(ValueError):
     """Command combination outside the contract; maps to exit 2."""
 
@@ -130,14 +126,14 @@ def emit_reports(reports, fmt, out):
     """Write each report of the iterable as it arrives, counting as it
     goes; text output ends with a summary line.
 
-    Consecutive reports often share their params, so the JSON of the
-    last params is kept and reused while the next params have the same
-    items, with keys and values of the same flat types: equal values of
-    other types can encode differently (1 and True, 0.0 and -0.0).
+    The reports of one grid point share one params object (see
+    RelationReport), so its JSON is kept and reused while the next report
+    carries that same object, and any other object is encoded afresh:
+    params objects must not change while a stream is written.
     """
     checked = failed = expected = 0
     write = out.write
-    last_key = last_params = None
+    last = last_json = None
     for report in reports:
         checked += 1
         if report.status != "holds":
@@ -146,13 +142,10 @@ def emit_reports(reports, fmt, out):
             else:
                 failed += 1
         if fmt == "json":
-            params = report.params
-            types = (*map(type, params), *map(type, params.values()))
-            key = (types, tuple(params.items()))
-            if key != last_key:
-                last_params = _ENCODER.encode(params)
-                last_key = key if _FLAT_TYPES.issuperset(types) else None
-            write(_report_json(report, last_params) + "\n")
+            if report.params is not last:
+                last = report.params
+                last_json = _ENCODER.encode(last)
+            write(_report_json(report, last_json) + "\n")
         else:
             write(_report_text(report) + "\n")
     if fmt == "text":

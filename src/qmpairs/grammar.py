@@ -59,7 +59,10 @@ def tokenize(src):
             j = i + 1
             while j < n and src[j] in _DIGITS:
                 j += 1
-            out.append(("INT", int(src[i:j]), col))
+            try:
+                out.append(("INT", int(src[i:j]), col))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal too long", col) from None
             i = j
         elif ch in _SYMBOLS:
             out.append(("SYM", ch, col))

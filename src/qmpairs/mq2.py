@@ -368,7 +368,6 @@ def _check_relations(combination, half, suite, params, tag):
     with the same combination, so that compare gives its report both
     reduced sides.
     """
-    params = params or {}
     out = []
     for relation, lhs, rhs in _relation_table(half):
         relation = tag + relation
@@ -376,7 +375,7 @@ def _check_relations(combination, half, suite, params, tag):
             out.append(compare(combination(lhs), combination(rhs), suite,
                                MQ2, params, relation))
         else:
-            out.append(RelationReport(suite, MQ2, dict(params), relation))
+            out.append(RelationReport(suite, MQ2, params, relation))
     return out
 
 
@@ -506,12 +505,13 @@ def verify_results(n_range):
     upinv = qg_inverse_matrix(primed=True)
     for n in range(-n_range, n_range + 1):
         x = fm_pow(u, n, uinv)
-        reports = check_R(x, 2 * n, MQ2, {"n": n}, "U^n: ")
+        params = {"n": n}
+        reports = check_R(x, 2 * n, MQ2, params, "U^n: ")
         yield from reports
         yield from _check_relations(
             _coproduct_combination(_row_rewrites(reports, 2 * n),
                                    lambda: x * fm_pow(up, n, upinv)),
-            2 * n, MQ2, {"n": n}, "U^n*U'^n: ")
+            2 * n, MQ2, params, "U^n*U'^n: ")
 
 
 @streamed

@@ -123,7 +123,7 @@ def _mutual(products, u1, u2, half_q_exponent, suite, family, params):
 def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", params=None):
     """Report whether m1 * m2 = q^(half_q_exponent/2) * m2 * m1."""
     return [_q_commutation(_commutation_products(m1, m2), half_q_exponent,
-                           suite, m1.family.value, params or {})]
+                           suite, m1.family.value, params)]
 
 
 def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
@@ -135,7 +135,6 @@ def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
     beta-free, which every matrix built from generator products satisfies.
     """
     family = matrix.family.value
-    params = params or {}
     a, b, c = matrix.a11, matrix.a12, matrix.a22
     ac = a * c
     out = [compare(ac, c * a, suite, family, params, tag + "A*C = C*A")]
@@ -156,7 +155,7 @@ def check_mutual(pair, half_q_exponent, suite="adhoc", params=None):
     """
     u1, u2 = pair.u1, pair.u2
     return _mutual(_commutation_products(u1, u2), u1, u2, half_q_exponent,
-                   suite, pair.family.value, params or {})
+                   suite, pair.family.value, params)
 
 
 def _member(pair, n, m):
@@ -380,10 +379,10 @@ def verify_theorem2(family, power_range):
     reduced in full, so its violations carry their own sides.  Diagonal
     quadruples (n, m) = (s, t) and Type III have no twin in the grid.
 
-    Reports keep the per-quadruple order: q-commutation, V1 internal, V2
-    internal, mutual.  Only the members, their internal reports and the
-    pending twin keys are kept across quadruples; every report is
-    yielded as soon as it is decided.
+    A quadruple's pair relations are decided before its internal reports
+    are written; its reports, in the order q-commutation, V1 internal, V2
+    internal, mutual, share one params dict.  Only the members, their
+    internal reports and pending twin keys are kept across quadruples.
     """
     pair = generator_pair(family)
     internal = {}
@@ -394,42 +393,34 @@ def verify_theorem2(family, power_range):
     else:
         quads = ((n, m, s, t) for n in rng for m in rng
                  for s in rng for t in rng)
-    mirrored = family is not TYPE_III
     for n, m, s, t in quads:
         derived = make_product_pair(pair, n, m, s, t)
         half = 2 * (n * t - m * s)
         params = {"n": n, "m": m, "s": s, "t": t}
         central, nd = family_internal_parameters(family, n)
         v1, v2 = derived.u1, derived.u2
-        reused = (s, t, n, m) in held
-        if reused:
+        if (s, t, n, m) in held:
             held.remove((s, t, n, m))
-            yield RelationReport("theorem2", family.value, dict(params),
-                                 _Q_COMMUTATION % half)
+            first, *mutual = [RelationReport("theorem2", family.value, params,
+                                             relation % half)
+                              for relation in (_Q_COMMUTATION,) + _MUTUAL]
         else:
             products = _commutation_products(v1, v2)
             first = _q_commutation(products, half, "theorem2",
                                    family.value, params)
-            yield first
+            mutual = _mutual(products, v1, v2, half, "theorem2",
+                             family.value, params)
+            # the twin comes later in the grid exactly when (s, t) > (n, m)
+            if family is not TYPE_III and (s, t) > (n, m) and all(
+                    report.status == HOLDS for report in [first, *mutual]):
+                held.add((n, m, s, t))
+        yield first
         for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
             key = (exps, central, nd)
-            reports = internal.get(key)
-            if reports is None:
-                reports = internal[key] = check_internal(
-                    member, central, nd, "theorem2")
-            for report in reports:
-                yield RelationReport("theorem2", family.value, dict(params),
+            if key not in internal:
+                internal[key] = check_internal(member, central, nd, "theorem2")
+            for report in internal[key]:
+                yield RelationReport("theorem2", family.value, params,
                                      tag + report.relation, report.status,
                                      report.expected, report.lhs, report.rhs)
-        if reused:
-            for relation in _MUTUAL:
-                yield RelationReport("theorem2", family.value, dict(params),
-                                     relation % half)
-            continue
-        mutual = _mutual(products, v1, v2, half, "theorem2", family.value,
-                         params)
         yield from mutual
-        # the twin comes later in the grid exactly when (s, t) > (n, m)
-        if mirrored and (s, t) > (n, m) and first.status == HOLDS and \
-                all(report.status == HOLDS for report in mutual):
-            held.add((n, m, s, t))

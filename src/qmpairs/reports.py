@@ -23,8 +23,10 @@ _FIELDS = ("suite", "family", "params", "relation", "status", "expected",
 class RelationReport:
     """One relation's outcome: a plain record, read-only by convention.
 
-    Reports compare field by field, and only with reports; like the
-    dicts in their params they are not hashable.
+    params is the caller's mapping, not a copy; the reports of one grid
+    point share it, and it is read-only like the report.  Reports compare
+    field by field, and only with reports; like the dicts in their params
+    they are not hashable.
     """
 
     __slots__ = _FIELDS
@@ -60,11 +62,11 @@ class RelationReport:
 
 
 def compare(lhs, rhs, suite, family, params, relation, expected=False):
-    """Report whether two reduced values are equal, with their texts if not."""
+    """Report whether two reduced values are equal, with their texts if
+    not, under params itself (see RelationReport)."""
     if lhs == rhs:
-        return RelationReport(suite, family, dict(params), relation, HOLDS,
-                              expected)
-    return RelationReport(suite, family, dict(params), relation, VIOLATED,
+        return RelationReport(suite, family, params, relation, HOLDS, expected)
+    return RelationReport(suite, family, params, relation, VIOLATED,
                           expected, lhs.text(), rhs.text())
 
 

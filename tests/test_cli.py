@@ -86,6 +86,17 @@ def test_reduce_non_ascii_digit_exits_2(capsys):
     assert err == "error: unexpected character '\u00b2' (column 4)\n"
 
 
+@pytest.mark.parametrize("family, expression, column", [
+    ("I", "9" * 5000 + " * a1", 1), ("mq2", "a^" + "9" * 5000, 3)],
+    ids=["coefficient", "exponent"])
+def test_reduce_over_long_integer_exits_2(capsys, family, expression,
+                                          column):
+    code, out = _run(["reduce", "--type", family, expression])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == \
+        "error: integer literal too long (column %d)\n" % column
+
+
 def test_verify_passing_suite():
     code, out = _run(["verify", "--suite", "theorem1", "--type", "I",
                       "--range", "2"])
@@ -362,6 +373,25 @@ def test_suite_functions_return_the_collected_stream():
 class _Discard:
     def write(self, text):
         return len(text)
+
+
+def test_reports_of_a_quadruple_share_one_params_object(monkeypatch):
+    """The 11 reports of each Type II theorem2 quadruple hold one params
+    object, so emit_reports encodes params once per quadruple: 5^4 = 625
+    times on the Type I grid at range 2."""
+    reports = verify_theorem2(TYPE_II, 2)
+    assert len(reports) == 11 * 625
+    for start in range(0, len(reports), 11):
+        params = reports[start].params
+        assert all(report.params is params
+                   for report in reports[start:start + 11]), params
+    encode = cli._ENCODER.encode
+    calls = []
+    monkeypatch.setattr(cli._ENCODER, "encode",
+                        lambda value: calls.append(value) or encode(value))
+    assert main(["verify", "--suite", "theorem2", "--type", "I", "--range",
+                 "2", "--format", "json"], out=_Discard()) == 0
+    assert len(calls) == 625
 
 
 def test_verify_streams_in_bounded_memory():

@@ -1,4 +1,4 @@
-"""Golden outputs: `verify` JSON bytes that a change must keep.
+"""Golden outputs: `verify` JSON and text bytes that a change must keep.
 
 A refactor or speedup must leave these bytes unchanged.  The hashes were
 recorded from the initial engine.  They cover every suite of
@@ -18,6 +18,9 @@ twin quadruple.
 The Type III `theorem2` grid at range 4, whose internal parameter r^n
 changes from quadruple to quadruple, was recorded from the engine that
 checked each member's internal relations once per tag.
+The two text streams, `--suite all` for Type II and the Type II
+`theorem2` grid at range 2, were recorded from the engine that gave each
+report its own copy of its params.
 """
 
 import hashlib
@@ -53,8 +56,16 @@ MQ2_RANGE6_SHA256 = (
 MQ2_RANGE8_SHA256 = (
     "b3eb0332b27b7acc2e7b694df6d5d10af8fdbf7a837416abd13267dcef64e3ab")
 
+# argv after `verify` -> sha256 of the text output
+TEXT_SHA256 = {
+    ("--suite", "all", "--type", "II"):
+        "61b670220a1786d46d24478e9253a0b5e353fc5a8f7cb1b457ffc86def56c05b",
+    ("--suite", "theorem2", "--type", "II", "--range", "2"):
+        "d7faf3fb75e971254a792fea3e509fc209c1956e37eb4fceaf4ad6783f4f9e08",
+}
 
-def _json_digest(argv):
+
+def _digest(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     assert code == 0
@@ -63,48 +74,54 @@ def _json_digest(argv):
 
 @pytest.mark.parametrize("family", sorted(GOLDEN_SHA256))
 def test_verify_all_json_matches_golden_hash(family):
-    digest = _json_digest(["verify", "--suite", "all", "--type", family,
+    digest = _digest(["verify", "--suite", "all", "--type", family,
                            "--format", "json"])
     assert digest == GOLDEN_SHA256[family]
 
 
 def test_verify_theorem2_range3_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "I",
+    digest = _digest(["verify", "--suite", "theorem2", "--type", "I",
                            "--range", "3", "--format", "json"])
     assert digest == THEOREM2_RANGE3_SHA256["I"]
 
 
 def test_verify_theorem2_type2_range3_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "II",
+    digest = _digest(["verify", "--suite", "theorem2", "--type", "II",
                            "--range", "3", "--format", "json"])
     assert digest == THEOREM2_RANGE3_SHA256["II"]
 
 
 def test_verify_theorem2_type3_range4_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "theorem2", "--type", "III",
+    digest = _digest(["verify", "--suite", "theorem2", "--type", "III",
                            "--range", "4", "--format", "json"])
     assert digest == THEOREM2_TYPE3_RANGE4_SHA256
 
 
 def test_verify_mq2_range4_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "mq2", "--range", "4",
+    digest = _digest(["verify", "--suite", "mq2", "--range", "4",
                            "--format", "json"])
     assert digest == MQ2_RANGE4_SHA256
 
 
 def test_verify_mq2_range5_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "mq2", "--range", "5",
+    digest = _digest(["verify", "--suite", "mq2", "--range", "5",
                            "--format", "json"])
     assert digest == MQ2_RANGE5_SHA256
 
 
 def test_verify_mq2_range6_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "mq2", "--range", "6",
+    digest = _digest(["verify", "--suite", "mq2", "--range", "6",
                            "--format", "json"])
     assert digest == MQ2_RANGE6_SHA256
 
 
 def test_verify_mq2_range8_json_matches_golden_hash():
-    digest = _json_digest(["verify", "--suite", "mq2", "--range", "8",
+    digest = _digest(["verify", "--suite", "mq2", "--range", "8",
                            "--format", "json"])
     assert digest == MQ2_RANGE8_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_SHA256), ids=" ".join)
+def test_verify_text_matches_golden_hash(argv):
+    digest = _digest(["verify", *argv, "--format", "text"])
+    assert digest == TEXT_SHA256[argv]

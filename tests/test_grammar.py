@@ -129,6 +129,19 @@ def test_integers_are_ascii_digits():
             assert "unexpected character" in str(err.value)
 
 
+def test_over_long_integer_literal_is_a_parse_error():
+    # int() refuses more decimal digits than the interpreter's limit
+    # (sys.get_int_max_str_digits(), 4300 by default)
+    nines = "9" * 5000
+    for parse in (lambda text: parse_triangular(text, TYPE_I),
+                  parse_background):
+        for src, column in ((nines + " * s", 1), ("s^" + nines, 3)):
+            with pytest.raises(ParseError) as err:
+                parse(src)
+            assert err.value.column == column
+            assert "integer literal too long" in str(err.value)
+
+
 _FUZZ_TOKENS = (
     ("a1", "b1", "g1", "a2", "b2", "g2", "a", "b", "c", "d", "Di", "a'",
      "b'", "c'", "d'", "Di'", "U1", "U2", "s", "q", "r")

@@ -549,6 +549,98 @@ def test_element_associativity_sample():
         assert x * (y + z) == x * y + x * z
 
 
+# Properties of the block product at exponents that reduce_word cannot
+# reach.  tau reverses a product and swaps the a and d exponents of each
+# block; t keeps the order and swaps the b and c exponents.  Both fix the
+# scalars, Di and the quantum determinant, and map normal-form monomials
+# to normal-form monomials, so they act on an element slot by slot.
+
+
+def _swapped(x, first, second):
+    """x with the exponents at slots first and second of each block
+    exchanged."""
+    terms = {}
+    for mono, coeff in x.terms.items():
+        mono = list(mono)
+        for base in (0, 5):
+            mono[base + first], mono[base + second] = \
+                mono[base + second], mono[base + first]
+        terms[tuple(mono)] = coeff
+    return QGElement(terms)
+
+
+def _tau(x):
+    return _swapped(x, 0, 3)
+
+
+def _t(x):
+    return _swapped(x, 1, 2)
+
+
+def _bidegree(mono):
+    """Row and column degrees of each block: u_ij has row degree e_i and
+    column degree e_j, and Di minus the sum of both."""
+    out = ()
+    for i, j, k, l, m in (mono[:5], mono[5:]):
+        out += (i + j - m, k + l - m, i + k - m, j + l - m)
+    return out
+
+
+def _random_monomial(rng):
+    """A normal-form monomial: unprimed exponents up to 12 (Di up to 3),
+    and a few primed letters."""
+    block = [rng.randint(0, 12) for _ in range(4)] + [rng.randint(0, 3)]
+    primed = [rng.randint(0, 1) for _ in range(4)] + [rng.randint(0, 1)]
+    for x in (block, primed):
+        if x[0] and x[3] and x[4]:
+            x[rng.choice((0, 3, 4))] = 0
+    return QGElement({tuple(block + primed): 1})
+
+
+def test_block_product_symmetries_and_bidegree():
+    rng = random.Random(47)
+    for _ in range(60):
+        x, y = _random_monomial(rng), _random_monomial(rng)
+        xy = x * y
+        assert _tau(xy) == _tau(y) * _tau(x), (x, y)
+        assert _t(xy) == _t(x) * _t(y), (x, y)
+        (xm,), (ym,) = x.terms, y.terms
+        degree = tuple(u + v for u, v in zip(_bidegree(xm), _bidegree(ym)))
+        assert {_bidegree(mono) for mono in xy.terms} == {degree}, (x, y)
+
+
+def test_block_product_associative_and_determinant_central():
+    """(xy)z = x(yz), and each block's quantum determinant is central with
+    inverse Di: Dq x Di = x."""
+    rng = random.Random(53)
+    determinants = [(quantum_determinant(generator_full_matrix(primed)),
+                     gen("Di'" if primed else "Di"))
+                    for primed in (False, True)]
+    for _ in range(12):
+        x, y, z = (_random_monomial(rng) for _ in range(3))
+        assert (x * y) * z == x * (y * z), (x, y, z)
+        for dq, di in determinants:
+            assert dq * x == x * dq and dq * x * di == x, x
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_block_product_properties_at_large_exponents(k):
+    """The properties above where d^k takes k/2 entering a's.
+
+    tau fixes each term of d^k a^k, so x = b d^k and y = a^(k/2) c,
+    whose tau-images enter k a's into d^(k/2), carry the tau check.
+    """
+    x, y, z, w = (QGElement({block + (0,) * 5: 1}) for block in (
+        (0, 1, 0, k, 0), (k // 2, 0, 1, 0, 0), (0, 0, 0, 1, 1),
+        (k // 2, 1, 0, k, 0)))
+    xy = x * y
+    assert len(xy.terms) == k // 2 + 1
+    assert _tau(xy) == _tau(y) * _tau(x)
+    assert _t(xy) == _t(x) * _t(y)
+    assert xy * z == x * (y * z)
+    assert quantum_determinant_element() * w * gen("Di") == w
+
+
 def test_element_power_and_errors():
     a = gen("a")
     assert a ** 3 == a * a * a
