@@ -29,13 +29,18 @@ sums and products.  Each coefficient is at most the norm, so the digits
 are exact while the norm stays below 2^(W-1).  An operation whose result
 norm would reach that repacks its operands at their exact norms plus
 _HEADROOM bits, widening W; so no digit ever overflows, and the norm is
-tightened only then, not on every operation.  Equality, hash and text()
-read the terms, which depend on neither W nor the form; two values packed
-at one r power and one width compare as (low, packed) directly.
+tightened only then, not on every operation.  Equality and hash read the
+terms, which depend on neither W nor the form; two values packed at one r
+power and one width compare as (low, packed) directly.  text() reads a
+packed value's digits, lowest first, which are already in ascending s
+order, and sorts only a dict-held value's terms.  A product with a unit
++-s^a r^b moves the other factor by (a, b) and flips its sign for -1,
+keeping its width and norm: no digit changes size.
 """
 
 import sys
 from array import array
+from itertools import compress, count, repeat
 from types import MappingProxyType
 
 _HEADROOM = 16   # spare bits above the exact norm when a value is packed
@@ -48,12 +53,14 @@ class SparseSum:
     """A finite sum held as {key: coefficient} with no zero coefficients.
 
     The cold operations of LaurentScalar, Element and QGElement live here
-    once.  A subclass holds its terms mapping as terms and supplies three
-    hooks: _like(terms) builds a value of the same kind from clean terms
-    without running __init__, _operand(other) coerces the other side of +
-    and - (None when it does not apply), and _term(key, coeff) renders one
-    term as (body, negative).  Products stay in the subclasses, whose inner
-    loops are the engine's hot paths.
+    once.  A subclass holds its terms mapping as terms and supplies the
+    hooks _like(terms), which builds a value of the same kind from clean
+    terms without running __init__, and _operand(other), which coerces the
+    other side of + and - (None when it does not apply).  Element and
+    QGElement also supply _term(key, coeff), which renders one term as
+    (body, negative) for text(); LaurentScalar renders its own text from
+    its digits.  Products stay in the subclasses, whose inner loops are the
+    engine's hot paths.
     """
 
     __slots__ = ()
@@ -88,7 +95,8 @@ class SparseSum:
         return other + (-self)
 
     def text(self):
-        """Canonical rendering, terms in ascending key order."""
+        """Canonical rendering, terms in ascending key order, each by
+        _term; LaurentScalar renders its own, from its digits when packed."""
         if not self.terms:
             return "0"
         return _join(self._term(key, coeff)
@@ -121,10 +129,11 @@ def term_text(coeff, factors):
 
     coeff is a LaurentScalar and factors the rendered generator powers.
     A unit coefficient is left out, a sign is pulled out of a one-term
-    coefficient, and a longer coefficient is parenthesized.
+    coefficient, and a longer coefficient is parenthesized; the term
+    count comes from the rendering, so no term dict is built.
     """
-    text = coeff.text()
-    if factors and len(coeff.terms) > 1:
+    text, term_count = _render(coeff)
+    if factors and term_count > 1:
         return "(%s) * %s" % (text, " * ".join(factors)), False
     negative = text.startswith("-")
     if negative:
@@ -259,17 +268,43 @@ def _coerce(value):
     return None
 
 
-def _monomial_text(key, coeff):
-    """One term c * s^a * r^b as (body, negative) for SparseSum.text."""
-    a, b = key
-    factors = []
-    if abs(coeff) != 1 or (a == 0 and b == 0):
-        factors.append(str(abs(coeff)))
-    if a:
-        factors.append("s" if a == 1 else "s^%d" % a)
-    if b:
-        factors.append("r" if b == 1 else "r^%d" % b)
-    return " * ".join(factors), coeff < 0
+def _render(value):
+    """(text, term count) of a scalar, its terms c * s^a * r^b in ascending
+    (a, b) order.
+
+    A packed value's digits are read as they are, lowest first, skipping
+    zeros: they lie on one r power in ascending s order, so no term dict is
+    built and nothing is sorted.  A dict-held value's terms are sorted.
+    """
+    x = value._packed
+    if x is None:
+        terms = sorted(value._terms.items())
+    elif not x:
+        return "0", 0
+    else:
+        digits = _unpack(x, value._width)
+        terms = compress(zip(zip(count(value._low), repeat(value._line)),
+                             digits), digits)
+    chunks = []
+    line = None
+    for (a, b), c in terms:
+        if b != line:
+            line = b
+            r_text = "" if not b else "r" if b == 1 else "r^%d" % b
+            r_tail = " * " + r_text if b else ""
+        if a:
+            mono = ("s" if a == 1 else "s^%d" % a) + r_tail
+        else:
+            mono = r_text
+        if c < 0:
+            sign = " - " if chunks else "-"
+            c = -c
+        else:
+            sign = " + " if chunks else ""
+        if c != 1 or not mono:
+            mono = str(c) + " * " + mono if mono else str(c)
+        chunks.append(sign + mono)
+    return "".join(chunks), len(chunks)
 
 
 class LaurentScalar(SparseSum):
@@ -329,7 +364,10 @@ class LaurentScalar(SparseSum):
 
     _like = staticmethod(_from_terms)
     _operand = staticmethod(_coerce)
-    _term = staticmethod(_monomial_text)
+
+    def text(self):
+        """Canonical rendering, terms in ascending (s, r) order."""
+        return _render(self)[0]
 
     def __bool__(self):
         if self._packed is None:
@@ -416,6 +454,10 @@ class LaurentScalar(SparseSum):
             return _mul_terms(self, other)
         if not x or not y:
             return ZERO
+        if y == 1 or y == -1:
+            return _moved(self, other)
+        if x == 1 or x == -1:
+            return _moved(other, self)
         width = self._width
         norm = self._norm * other._norm
         if width != other._width or norm >> (width - 1):
@@ -513,6 +555,14 @@ def _mul_wide(x, y):
     (xd, xn), (yd, yn) = _exact(x), _exact(y)
     width = max(x._width, y._width, _width_for(xn * yn))
     return _repacked(x, xd, xn, width) * _repacked(y, yd, yn, width)
+
+
+def _moved(value, unit):
+    """value * unit for a packed unit +-s^a r^b: value shifted by (a, b),
+    negated for -1, at its own width and norm, since no digit changes
+    size."""
+    out = value.shift(unit._low, unit._line)
+    return out if unit._packed == 1 else -out
 
 
 def _mul_terms(x, y):

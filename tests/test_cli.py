@@ -52,6 +52,19 @@ def test_reduce_engine_error_exits_1(capsys):
     assert "BetaDegreeExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, expression",
+                         [("I", "2^15000"), ("mq2", "2^15000 * a")])
+def test_reduce_unprintable_coefficient_exits_1(capsys, family, expression):
+    # 2^15000 has 4516 decimal digits, past the interpreter's limit for
+    # integer to string conversion, so the normal form cannot be printed
+    code, out = _run(["reduce", "--type", family, expression])
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_reduce_deep_background_word_exits_0():
     code, out = _run(["reduce", "--type", "mq2", "d^40 * a^40"])
     assert code == 0

@@ -21,6 +21,12 @@ checked each member's internal relations once per tag.
 The two text streams, `--suite all` for Type II and the Type II
 `theorem2` grid at range 2, were recorded from the engine that gave each
 report its own copy of its params.
+The `reduce` outputs, in text and JSON, print dense coefficients: long
+background coefficients, digits wider than 64 bits in `(1 + s)^300`,
+and the r-polynomials of Type III, held as dicts, in `U1^-7 * U2^5`.
+They were recorded from the engine that rendered every scalar through
+its sorted term dict and multiplied by a unit monomial as by any other
+scalar.
 """
 
 import hashlib
@@ -62,6 +68,28 @@ TEXT_SHA256 = {
         "61b670220a1786d46d24478e9253a0b5e353fc5a8f7cb1b457ffc86def56c05b",
     ("--suite", "theorem2", "--type", "II", "--range", "2"):
         "d7faf3fb75e971254a792fea3e509fc209c1956e37eb4fceaf4ad6783f4f9e08",
+}
+
+# (type, expression) -> sha256 of the `reduce` output in text and in JSON
+REDUCE_SHA256 = {
+    ("mq2", "(a + b + c + d)^7"): (
+        "32a172657b4b6d9534aeff90a6ba5c63c07237c231bee35b22bb7c1e1b31c756",
+        "39d3c26ddaf92b8fb4b946181218141a176038c3da355794456f9c49e99d19c7"),
+    ("mq2", "d^12 * a^12"): (
+        "086e8e988a4665256e89ec3fe377fad2a7a2273f03b7f43f8576fa32e6d5b7aa",
+        "55c3ccd9e724898b230c9bf8de57866bc079cc4ab7d8449af24cef694d0cc997"),
+    ("mq2", "Di^20 * a^20 * d^20"): (
+        "89bdd8e61a80f8e57614eb791f43bef78ad832b0af9a52aa59f5c5c354d34f6f",
+        "200132ee959b010c46650d1ee3b89659791a2b1a957cdbe76f03ac2104bde62d"),
+    ("I", "(1 + s)^300"): (
+        "38cc055661dd88a2d18834a2c162f6c9eefdfa48c07190294d3f97edc2b823fc",
+        "7eeb83be2d917152e5afb615731bc252d9c8df22523a072c3ce0261b15670371"),
+    ("III", "(a1 + s * g2)^30"): (
+        "ff1211ea3c13ce4ac0a99286cd575c67134c5ec3504baaf8af7dfcd47e2607e4",
+        "f00b125202198613a58a14636124a00c6f2acea55990af735ea28afb933d9a73"),
+    ("III", "U1^-7 * U2^5"): (
+        "99ffdb10e3b4f6c333bed274f270b7f81e7de65c2b1d2e10d0ff5d18a737541c",
+        "daea45ef7cb5dc324f06aa34a8e093f1d6d1fa52c45cae81e003fa77d04b9bc5"),
 }
 
 
@@ -125,3 +153,12 @@ def test_verify_mq2_range8_json_matches_golden_hash():
 def test_verify_text_matches_golden_hash(argv):
     digest = _digest(["verify", *argv, "--format", "text"])
     assert digest == TEXT_SHA256[argv]
+
+
+@pytest.mark.parametrize("family, expression", sorted(REDUCE_SHA256),
+                         ids=[" ".join(key) for key in sorted(REDUCE_SHA256)])
+def test_reduce_matches_golden_hash(family, expression):
+    text, json = REDUCE_SHA256[family, expression]
+    argv = ["reduce", "--type", family, expression]
+    assert _digest([*argv, "--format", "text"]) == text
+    assert _digest([*argv, "--format", "json"]) == json

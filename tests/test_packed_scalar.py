@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dict_scalar import DictScalar
-from qmpairs.scalars import LaurentScalar, ONE, q_pow
+from qmpairs import (TYPE_I, TYPE_III, parse_background, parse_triangular,
+                     scalars)
+from qmpairs.scalars import LaurentScalar, ONE, q_pow, r_pow, term_text
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,10 +66,12 @@ def pairs():
 
 
 def _same(value, oracle):
+    # text() first: a packed value renders from its digits, before anything
+    # has built its term dict
+    assert value.text() == oracle.text()
     assert dict(value.terms) == oracle.terms
     assert value == LaurentScalar(oracle.terms)
     assert hash(value) == hash(oracle)
-    assert value.text() == oracle.text()
     assert bool(value) == bool(oracle.terms)
 
 
@@ -206,3 +210,138 @@ def test_sparse_wide_span_reduces_in_small_memory():
     assert code == 0
     assert text == "1 + s^100000000000\n"
     assert grown_mb <= 50
+
+
+# (terms, digit width or None for a dict-held value, expected text or None
+# where only the dict scalar's text is compared)
+RENDER_CASES = [
+    ({}, 64, "0"),
+    ({(0, 0): 1}, 64, "1"),
+    ({(0, 0): -1}, 64, "-1"),
+    ({(0, 1): 1}, 64, "r"),
+    ({(0, 1): -1}, 64, "-r"),
+    ({(1, 0): 1}, 64, "s"),
+    ({(0, -1): 1, (2, -1): -3}, 64, "r^-1 - 3 * s^2 * r^-1"),
+    # a negative low, zero digits inside, -1 at s^0
+    ({(-3, 0): -2, (-1, 0): 1, (0, 0): -1, (2, 0): 5}, 64,
+     "-2 * s^-3 + s^-1 - 1 + 5 * s^2"),
+    ({(0, 3): 1, (1, 3): -1, (4, 3): 7}, 64,
+     "r^3 - s * r^3 + 7 * s^4 * r^3"),
+    ({(-2, -1): -1, (1, -1): 2 ** 70}, 128,
+     "-s^-2 * r^-1 + %d * s * r^-1" % 2 ** 70),
+    ({(0, 0): -(2 ** 130), (1, 0): 1, (3, 0): -1, (4, 0): 1}, 192,
+     "-%d + s - s^3 + s^4" % 2 ** 130),
+    ({(5, 1): 2 ** 200, (6, 1): 0, (7, 1): -1}, 256,
+     "%d * s^5 * r - s^7 * r" % 2 ** 200),
+    ({(k, 0): (1 - 2 * (k % 2)) * (k % 7) for k in range(-150, 150)}, 64,
+     None),
+    ({(0, 0): 1, (0, 1): -1, (2, 0): 3}, None, "1 - r + 3 * s^2"),
+    ({(-1, 0): -1, (10 ** 6, 0): 2}, None, "-s^-1 + 2 * s^1000000"),
+]
+
+
+@pytest.mark.parametrize("terms, width, text", RENDER_CASES,
+                         ids=[str(k) for k in range(len(RENDER_CASES))])
+def test_text_renders_the_digits(terms, width, text):
+    value = LaurentScalar(terms)
+    packed = value._packed is not None
+    assert (value._width if packed else None) == width
+    rendered = value.text()
+    assert rendered == DictScalar(terms).text()
+    if text is not None:
+        assert rendered == text
+    if packed:
+        # rendering a packed value builds no term dict
+        assert not hasattr(value, "_terms")
+
+
+@pytest.mark.parametrize("terms, factors, expected", [
+    ({(1, 0): -2}, ["a"], ("2 * s * a", True)),
+    ({(0, 0): -3}, [], ("3", True)),
+    ({(0, 0): 1}, ["a", "b"], ("a * b", False)),
+    ({(0, 0): -1}, ["a"], ("a", True)),
+    ({(-1, 1): -1}, ["a"], ("s^-1 * r * a", True)),
+    ({(0, 0): 1, (1, 0): -1}, ["a"], ("(1 - s) * a", False)),
+    ({(0, 0): 1, (1, 0): -1}, [], ("1 - s", False)),
+    ({(0, 0): -(2 ** 70), (2, 0): 1}, ["a"],
+     ("(-%d + s^2) * a" % 2 ** 70, False)),
+    ({(0, 0): -1, (0, 1): 1}, ["a"], ("(-1 + r) * a", False)),
+])
+def test_term_text_parenthesizes_longer_coefficients(terms, factors,
+                                                     expected):
+    coeff = LaurentScalar(terms)
+    assert term_text(coeff, factors) == expected
+    oracle = DictScalar(terms)
+    _same(coeff, oracle)
+    body, negative = expected
+    if not factors:
+        assert (body, negative) == (oracle.text().lstrip("-"),
+                                    oracle.text().startswith("-"))
+    elif len(oracle.terms) > 1:
+        assert body == "(%s) * %s" % (oracle.text(), " * ".join(factors))
+    else:
+        assert negative == oracle.text().startswith("-")
+
+
+UNITS = [ONE, -ONE, q_pow(3), -q_pow(-2), r_pow(-1),
+         -LaurentScalar.monomial(1, 5, 3)]
+
+
+def test_unit_products_move_the_other_factor(monkeypatch):
+    def repack(x, y):
+        raise AssertionError("a unit product was repacked")
+
+    monkeypatch.setattr(scalars, "_mul_wide", repack)
+    packed = [LaurentScalar({(0, 0): 3, (2, 0): -1}),
+              LaurentScalar({(-1, 1): 2 ** 70, (0, 1): -5}),
+              LaurentScalar({(0, 0): 2 ** 130, (3, 0): -(2 ** 140),
+                             (4, 0): 1})]
+    assert [x._width for x in packed] == [64, 128, 192]
+    zero = LaurentScalar.zero()
+    for unit in UNITS:
+        du = DictScalar(dict(unit.terms))
+        for x in packed:
+            dx = DictScalar(dict(x.terms))
+            for product in (unit * x, x * unit):
+                _same(product, du * dx)
+                assert (product._width, product._norm) == \
+                    (x._width, x._norm)
+        for other in UNITS:
+            _same(unit * other, du * DictScalar(dict(other.terms)))
+        _same(unit * zero, DictScalar())
+        _same(zero * unit, DictScalar())
+
+
+def test_unit_times_a_dict_held_value_runs_term_by_term(monkeypatch):
+    calls = []
+    term_by_term = scalars._mul_terms
+
+    def spy(x, y):
+        calls.append(None)
+        return term_by_term(x, y)
+
+    monkeypatch.setattr(scalars, "_mul_terms", spy)
+    held = [LaurentScalar({(0, 0): 1, (0, 1): -2, (3, 2): 5}),
+            LaurentScalar({(0, 0): 1, (10 ** 6, 0): 1})]
+    assert all(x._packed is None for x in held)
+    for unit in UNITS:
+        du = DictScalar(dict(unit.terms))
+        for x in held:
+            dx = DictScalar(dict(x.terms))
+            _same(unit * x, du * dx)
+            _same(x * unit, dx * du)
+    assert len(calls) == 2 * len(held) * len(UNITS)
+
+
+@pytest.mark.parametrize("k", [0, 3, -5])
+def test_scale_by_a_unit_matches_term_by_term(k):
+    elements = [parse_triangular("(a1 + s * g2)^6 + 3 * b1", TYPE_I),
+                parse_triangular("(a1 + s * g2)^4 - r * b2 * g1", TYPE_III),
+                parse_background("(a + b + c + d)^3 - 2 * b * Di")]
+    for unit in (q_pow(k), -q_pow(k)):
+        du = DictScalar(dict(unit.terms))
+        for element in elements:
+            scaled = element.scale(unit)
+            assert scaled.terms.keys() == element.terms.keys()
+            for mono, coeff in element.terms.items():
+                _same(scaled.terms[mono], DictScalar(dict(coeff.terms)) * du)
