@@ -35,7 +35,7 @@ tested against.
 
 import enum
 
-from .scalars import LaurentScalar, SparseSum, accumulate, power, term_text
+from .scalars import LaurentScalar, SparseSum, accumulate, power
 
 ONE = LaurentScalar.one()
 
@@ -153,6 +153,20 @@ def _mono_mul(family, left, right):
     return (beta, *exps), s_sh, r_sh
 
 
+def _mono_factors(mono):
+    beta, a, b, c, d = mono
+    parts = []
+    for name, exp in (("a1", a), ("a2", b)):
+        if exp:
+            parts.append(name if exp == 1 else "%s^%d" % (name, exp))
+    if beta:
+        parts.append("b%d" % beta)
+    for name, exp in (("g1", c), ("g2", d)):
+        if exp:
+            parts.append(name if exp == 1 else "%s^%d" % (name, exp))
+    return parts
+
+
 class Element(SparseSum):
     """Finite linear combination of canonical monomials over one family."""
 
@@ -160,13 +174,7 @@ class Element(SparseSum):
 
     def __init__(self, family, terms=None):
         self.family = family
-        data = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = family.canon(coeff)
-                if coeff:
-                    data[mono] = coeff
-        self.terms = data
+        self.terms = self._clean(terms) if terms else {}
 
     def _like(self, terms):
         out = object.__new__(Element)
@@ -180,8 +188,13 @@ class Element(SparseSum):
         self._check_family(other)
         return other
 
-    def _term(self, mono, coeff):
-        return term_text(coeff, _mono_factors(mono))
+    _factors = staticmethod(_mono_factors)
+
+    def _coefficient(self, coeff):
+        """coeff as a scalar of the family's ground ring."""
+        if coeff.__class__ is not LaurentScalar:
+            coeff = SparseSum._coefficient(self, coeff)
+        return self.family.canon(coeff)
 
     @classmethod
     def zero(cls, family):
@@ -193,8 +206,6 @@ class Element(SparseSum):
 
     @classmethod
     def scalar(cls, family, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentScalar.integer(coeff)
         return cls(family, {(0, 0, 0, 0, 0): coeff})
 
     def single_term(self):
@@ -206,15 +217,6 @@ class Element(SparseSum):
     def _check_family(self, other):
         if self.family is not other.family:
             raise ValueError("elements belong to different relation families")
-
-    def scale(self, coeff):
-        """Multiply by a scalar (int or LaurentScalar)."""
-        if isinstance(coeff, int):
-            coeff = LaurentScalar.integer(coeff)
-        coeff = self.family.canon(coeff)
-        if not coeff:
-            return Element.zero(self.family)
-        return self._like({mono: c * coeff for mono, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentScalar)):
@@ -245,31 +247,8 @@ class Element(SparseSum):
         base = invert_element(self) if n < 0 else self
         return power(Element.one(self.family), base, abs(n))
 
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.family is other.family and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.family, frozenset(
-            (mono, coeff) for mono, coeff in self.terms.items())))
-
     def __repr__(self):
         return "<%s: %s>" % (self.family.value, self.text())
-
-
-def _mono_factors(mono):
-    beta, a, b, c, d = mono
-    parts = []
-    for name, exp in (("a1", a), ("a2", b)):
-        if exp:
-            parts.append(name if exp == 1 else "%s^%d" % (name, exp))
-    if beta:
-        parts.append("b%d" % beta)
-    for name, exp in (("g1", c), ("g2", d)):
-        if exp:
-            parts.append(name if exp == 1 else "%s^%d" % (name, exp))
-    return parts
 
 
 _GEN_MONO = {

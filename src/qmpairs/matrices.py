@@ -9,7 +9,7 @@ formed in scalars.power like every power in the engine, so the two
 constructions can be compared.
 """
 
-from .scalars import LaurentScalar, power, quantum_integer
+from .scalars import power, quantum_integer
 from .algebra import Element, generator, invert_element
 
 
@@ -65,14 +65,16 @@ class UTMatrix:
         base = self.inverse() if n < 0 else self
         return power(UTMatrix.identity(self.family), base, abs(n))
 
+    def entries(self):
+        return (self.a11, self.a12, self.a22)
+
     def __eq__(self, other):
         if not isinstance(other, UTMatrix):
             return NotImplemented
-        return (self.a11 == other.a11 and self.a12 == other.a12
-                and self.a22 == other.a22)
+        return self.entries() == other.entries()
 
     def __hash__(self):
-        return hash((self.a11, self.a12, self.a22))
+        return hash(self.entries())
 
     def text(self):
         return "[[%s, %s], [0, %s]]" % (

@@ -28,8 +28,7 @@ _coproduct_combination).
 import operator
 from functools import lru_cache
 
-from .scalars import (LaurentScalar, SparseSum, accumulate, term_text, q_pow,
-                      power, ONE)
+from .scalars import SparseSum, accumulate, q_pow, power, ONE
 from .reports import RelationReport, HOLDS, compare, streamed
 
 MQ2 = "mq2"
@@ -161,22 +160,20 @@ class QGElement(SparseSum):
 
     __slots__ = ("terms",)
 
+    family = None   # one algebra, so every value compares within it
+
     def __init__(self, terms):
-        self.terms = {}
-        for mono, coeff in terms.items():
-            coeff = _as_scalar(coeff)
-            if coeff:
-                self.terms[mono] = coeff
+        self.terms = self._clean(terms)
 
     _like = staticmethod(_wrap_element)
 
     def _operand(self, other):
         return other if isinstance(other, QGElement) else None
 
-    def _term(self, mono, coeff):
-        factors = [name if exp == 1 else "%s^%d" % (name, exp)
-                   for name, exp in zip(_MONO_NAMES, mono) if exp]
-        return term_text(coeff, factors)
+    @staticmethod
+    def _factors(mono):
+        return [name if exp == 1 else "%s^%d" % (name, exp)
+                for name, exp in zip(_MONO_NAMES, mono) if exp]
 
     @classmethod
     def zero(cls):
@@ -188,7 +185,7 @@ class QGElement(SparseSum):
 
     @classmethod
     def scalar(cls, value):
-        return cls({_ZERO10: _as_scalar(value)})
+        return cls({_ZERO10: value})
 
     @classmethod
     def generator(cls, name, exponent=1):
@@ -201,10 +198,6 @@ class QGElement(SparseSum):
         base = _GENERATOR_MONOS[name]
         return cls({tuple(e * exponent for e in base): ONE})
 
-    def scale(self, coeff):
-        coeff = _as_scalar(coeff)
-        return QGElement({m: c * coeff for m, c in self.terms.items()})
-
     def __mul__(self, other):
         if not isinstance(other, QGElement):
             return NotImplemented
@@ -214,29 +207,15 @@ class QGElement(SparseSum):
                 coeff = xc * yc
                 for mono, factor in _mono_mul(xm, ym).items():
                     accumulate(out, mono, coeff * factor)
-        return QGElement(out)
+        return _wrap_element(out)
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers need an explicit inverse")
         return power(QGElement.one(), self, n)
 
-    def __eq__(self, other):
-        if not isinstance(other, QGElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         return "QGElement(%s)" % self.text()
-
-
-def _as_scalar(value):
-    if isinstance(value, LaurentScalar):
-        return value
-    return LaurentScalar.integer(value)
 
 
 class FullMatrix:

@@ -38,6 +38,7 @@ order, and sorts only a dict-held value's terms.  A product with a unit
 keeping its width and norm: no digit changes size.
 """
 
+import operator
 import sys
 from array import array
 from itertools import compress, count, repeat
@@ -57,10 +58,12 @@ class SparseSum:
     hooks _like(terms), which builds a value of the same kind from clean
     terms without running __init__, and _operand(other), which coerces the
     other side of + and - (None when it does not apply).  Element and
-    QGElement also supply _term(key, coeff), which renders one term as
-    (body, negative) for text(); LaurentScalar renders its own text from
-    its digits.  Products stay in the subclasses, whose inner loops are the
-    engine's hot paths.
+    QGElement also supply _factors(key), the rendered generator powers of
+    one key, for text(); Element refines _coefficient(coeff), the one way a
+    coefficient enters, to its family's ground ring.  Values are equal
+    when they share class, family and terms.  LaurentScalar keeps its own
+    equality, hash and text, which read its digits.  Products stay in the
+    subclasses, whose inner loops are the engine's hot paths.
     """
 
     __slots__ = ()
@@ -94,13 +97,51 @@ class SparseSum:
             return NotImplemented
         return other + (-self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family is other.family and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.family, frozenset(self.terms.items())))
+
+    def _coefficient(self, coeff):
+        """coeff, an int or a LaurentScalar, as a LaurentScalar."""
+        if coeff.__class__ is LaurentScalar:
+            return coeff
+        scalar = _coerce(coeff)
+        if scalar is None:
+            raise TypeError("not a scalar coefficient: %r" % (coeff,))
+        return scalar
+
+    def _clean(self, terms):
+        """terms, each coefficient made by _coefficient, zeros left out."""
+        out = {}
+        for key, coeff in terms.items():
+            coeff = self._coefficient(coeff)
+            if coeff:
+                out[key] = coeff
+        return out
+
+    def scale(self, coeff):
+        """Multiply by a scalar (int or LaurentScalar).  A product of two
+        nonzero scalars is never zero, so only a zero coeff drops terms."""
+        coeff = self._coefficient(coeff)
+        if not coeff:
+            return self._like({})
+        return self._like({key: c * coeff for key, c in self.terms.items()})
+
     def text(self):
-        """Canonical rendering, terms in ascending key order, each by
-        _term; LaurentScalar renders its own, from its digits when packed."""
-        if not self.terms:
-            return "0"
-        return _join(self._term(key, coeff)
-                     for key, coeff in sorted(self.terms.items()))
+        """Canonical rendering, terms in ascending key order, each from
+        term_text(coeff, _factors(key)) and joined by its sign."""
+        chunks = []
+        for key, coeff in sorted(self.terms.items()):
+            body, negative = term_text(coeff, self._factors(key))
+            if chunks:
+                chunks.append((" - " if negative else " + ") + body)
+            else:
+                chunks.append("-" + body if negative else body)
+        return "".join(chunks) or "0"
 
 
 def accumulate(out, key, coeff):
@@ -111,17 +152,6 @@ def accumulate(out, key, coeff):
         out[key] = total
     else:
         out.pop(key, None)
-
-
-def _join(rendered):
-    """Join (body, negative) pairs into one signed sum."""
-    chunks = []
-    for body, negative in rendered:
-        if not chunks:
-            chunks.append("-" + body if negative else body)
-        else:
-            chunks.append((" - " if negative else " + ") + body)
-    return "".join(chunks)
 
 
 def term_text(coeff, factors):
@@ -426,12 +456,7 @@ class LaurentScalar(SparseSum):
             zeros = ((total & -total).bit_length() - 1) // width
             total >>= width * zeros
             low += zeros
-        out = _new(LaurentScalar)
-        out._line = self._line
-        out._low = low
-        out._packed = total
-        out._width = width
-        out._norm = norm
+        out = _packed_value(self._line, low, total, width, norm)
         if total.bit_length() > _LONG * width:
             return _checked(out)
         return out
@@ -462,17 +487,14 @@ class LaurentScalar(SparseSum):
         norm = self._norm * other._norm
         if width != other._width or norm >> (width - 1):
             return _mul_wide(self, other)
-        out = _new(LaurentScalar)
-        out._line = self._line + other._line
-        out._low = self._low + other._low
-        out._packed = x = x * y
-        out._width = width
-        out._norm = norm
+        x *= y
+        out = _packed_value(self._line + other._line, self._low + other._low,
+                            x, width, norm)
         if x.bit_length() > _LONG * width:
             return _checked(out)
         return out
 
-    __rmul__ = __mul__
+    __rmul__ = scale = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -526,35 +548,30 @@ class LaurentScalar(SparseSum):
         return self.text()
 
 
-def _exact(value):
-    """The digits of a packed value and their exact norm."""
-    digits = _unpack(value._packed, value._width)
-    return digits, sum(map(abs, digits))
-
-
-def _repacked(value, digits, norm, width):
-    return _packed_value(value._line, value._low, _pack(digits, width), width,
-                         norm)
+def _widened(x, y, combine):
+    """Packed x and y at one width that holds combine (a sum or a product)
+    of their exact norms, each norm tightened to exact."""
+    xd, yd = _unpack(x._packed, x._width), _unpack(y._packed, y._width)
+    xn, yn = sum(map(abs, xd)), sum(map(abs, yd))
+    width = max(x._width, y._width, _width_for(combine(xn, yn)))
+    return (_packed_value(x._line, x._low, _pack(xd, width), width, xn),
+            _packed_value(y._line, y._low, _pack(yd, width), width, yn))
 
 
 def _add_wide(x, y):
     """x + y for packed values of two widths or r powers, far apart, or
-    near overflow: both are repacked at one width that holds their exact
-    sum, or added term by term when they do not share one r power."""
+    near overflow: added term by term when they do not share one r power
+    or their lows are far apart, else repacked at one width by
+    _widened."""
     if x._line != y._line or abs(x._low - y._low) > _LONG:
         return SparseSum.__add__(x, y)
-    (xd, xn), (yd, yn) = _exact(x), _exact(y)
-    width = max(x._width, y._width, _width_for(xn + yn))
-    return _repacked(x, xd, xn, width) + _repacked(y, yd, yn, width)
+    return operator.add(*_widened(x, y, operator.add))
 
 
 def _mul_wide(x, y):
     """x * y for packed values of two widths, or whose product could
-    overflow a digit: both are repacked at one width that holds their
-    exact product."""
-    (xd, xn), (yd, yn) = _exact(x), _exact(y)
-    width = max(x._width, y._width, _width_for(xn * yn))
-    return _repacked(x, xd, xn, width) * _repacked(y, yd, yn, width)
+    overflow a digit, repacked at one width by _widened."""
+    return operator.mul(*_widened(x, y, operator.mul))
 
 
 def _moved(value, unit):
@@ -581,11 +598,11 @@ ONE = LaurentScalar.monomial(1)
 
 def _size(value):
     """The term count of a scalar or an element; of a matrix, summed over
-    its entries (the matrix classes' only slots)."""
+    its entries()."""
     terms = getattr(value, "terms", None)
     if terms is not None:
         return len(terms)
-    return sum(len(getattr(value, slot).terms) for slot in value.__slots__)
+    return sum(len(entry.terms) for entry in value.entries())
 
 
 def power(one, base, n):

@@ -26,7 +26,10 @@ background coefficients, digits wider than 64 bits in `(1 + s)^300`,
 and the r-polynomials of Type III, held as dicts, in `U1^-7 * U2^5`.
 They were recorded from the engine that rendered every scalar through
 its sorted term dict and multiplied by a unit monomial as by any other
-scalar.
+scalar.  The two Type I mixed-width inputs, a product and a sum whose
+operands meet at digit widths 64 and 128, 192 and 128, and 256 and 64,
+were recorded from the engine whose wide sum and wide product each
+repacked their operands in their own code.
 """
 
 import hashlib
@@ -90,6 +93,12 @@ REDUCE_SHA256 = {
     ("III", "U1^-7 * U2^5"): (
         "99ffdb10e3b4f6c333bed274f270b7f81e7de65c2b1d2e10d0ff5d18a737541c",
         "daea45ef7cb5dc324f06aa34a8e093f1d6d1fa52c45cae81e003fa77d04b9bc5"),
+    ("I", "(1 + 2^70 * s)^3 * (1 + s)^40"): (
+        "448e9f2411b596ac4cad9909148ab3f93a299e1e6e8fba9c7ea2edb447a760bd",
+        "c34b21d6ff4bd30bc59a694d6c4ea69870cf6492570a7e8a44d6a5106d24413c"),
+    ("I", "(1 + 2^70 * s)^3 + (1 + s)^40"): (
+        "027c068a853cd5925a3fd2ba5eabc5b577c48003c852b0ad5e2b998687f8283a",
+        "d2bf17522374dcbbb0f87157abeee69e2caa4281fcad2051c013da31ceec8c1b"),
 }
 
 

@@ -10,13 +10,14 @@ span several r powers and so are held as dicts, and the one-term values.
 """
 
 import copy
+import operator
 import os
 import pickle
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from dict_scalar import DictScalar
 from qmpairs import (TYPE_I, TYPE_III, parse_background, parse_triangular,
@@ -88,7 +89,10 @@ def test_packed_against_dict(xp, yp, s_exp, r_exp):
     assert (x == y) == (dx == dy)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
+# no shrink phase: shrinking a failing chain of large products runs for
+# minutes, while the failure itself shows within seconds
+@settings(max_examples=50, derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
 @given(pairs(), pairs(), pairs())
 def test_packed_chains_against_dict(xp, yp, zp):
     """Products of products grow the coefficient norm past each width."""
@@ -345,3 +349,88 @@ def test_scale_by_a_unit_matches_term_by_term(k):
             assert scaled.terms.keys() == element.terms.keys()
             for mono, coeff in element.terms.items():
                 _same(scaled.terms[mono], DictScalar(dict(coeff.terms)) * du)
+
+
+def _spy(monkeypatch, name):
+    """The argument tuples of every call to scalars.<name> from now on."""
+    calls = []
+    original = getattr(scalars, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scalars, name, spy)
+    return calls
+
+
+# packed values, each at the digit width it is keyed by
+AT_WIDTH = {
+    64: LaurentScalar({(0, 0): 3, (1, 0): -(2 ** 40), (3, 0): 7}),
+    128: LaurentScalar({(-1, 0): 2 ** 70, (0, 0): -5}),
+    192: LaurentScalar({(0, 0): 2 ** 130, (2, 0): -(2 ** 140), (5, 0): 1}),
+    256: LaurentScalar({(2, 0): -(2 ** 200), (4, 0): 9}),
+}
+
+
+def _twin(value):
+    return DictScalar(dict(value.terms))
+
+
+def _sums_and_products(x, y):
+    """x + y and x * y in both orders against the dict scalar; the widths
+    of the four results."""
+    widths = []
+    for a, b in ((x, y), (y, x)):
+        for combine in (operator.add, operator.mul):
+            out = combine(a, b)
+            _same(out, combine(_twin(a), _twin(b)))
+            widths.append(out._width)
+    return widths
+
+
+@pytest.mark.parametrize("wx, wy", [(64, 128), (192, 128), (256, 64)])
+def test_two_widths_meet_at_the_wider(monkeypatch, wx, wy):
+    x, y = AT_WIDTH[wx], AT_WIDTH[wy]
+    assert (x._width, y._width) == (wx, wy)
+    for combine in (operator.add, operator.mul):
+        for a, b in ((x, y), (y, x)):
+            wa, wb = scalars._widened(a, b, combine)
+            assert wa._width == wb._width >= max(wx, wy)
+            assert (wa._norm, wb._norm) == (a._norm, b._norm)
+            _same(wa, _twin(a))
+            _same(wb, _twin(b))
+    calls = _spy(monkeypatch, "_widened")
+    assert min(_sums_and_products(x, y)) >= max(wx, wy)
+    assert [combine for _, _, combine in calls] == \
+        [operator.add, operator.mul] * 2
+
+
+def test_overflow_at_one_width_widens(monkeypatch):
+    x = LaurentScalar({(0, 0): 2 ** 31, (1, 0): -3})
+    square = x * x
+    # norm (2^31 + 3)^2 < 2^63: the square keeps 64-bit digits, but the
+    # sum of two squares and the products with x or a square could
+    # overflow one
+    assert x._width == square._width == 64
+    calls = _spy(monkeypatch, "_widened")
+    assert _sums_and_products(square, square) == [128, 192] * 2
+    for a, b in ((x, square), (square, x)):
+        product = a * b
+        _same(product, _twin(a) * _twin(b))
+        assert product._width == 128
+    assert [combine for _, _, combine in calls] == \
+        [operator.add, operator.mul] * 2 + [operator.mul] * 2
+
+
+def test_far_lows_and_two_r_lines_add_term_by_term(monkeypatch):
+    calls = _spy(monkeypatch, "_widened")
+    x = AT_WIDTH[64]
+    for y in (AT_WIDTH[128].shift(scalars._LONG + 10),
+              AT_WIDTH[64].shift(scalars._LONG + 1),
+              AT_WIDTH[128].shift(0, 1), AT_WIDTH[64].shift(2, -1)):
+        for a, b in ((x, y), (y, x)):
+            total = a + b
+            _same(total, _twin(a) + _twin(b))
+            assert total._packed is None
+    assert not calls
