@@ -52,24 +52,26 @@ class NonReducible(ValueError):
     """No defining relation can move the word into canonical shape."""
 
 
+class NonInvertibleEntry(ValueError):
+    """A diagonal entry is not an invertible monomial."""
+
+
 class RelationFamily(enum.Enum):
+    """The three relation families.  Two rules tell them apart, each a
+    plain member attribute: r_is_one, r = 1 (Types I and II), and
+    gamma_is_alpha_inverse, g_i = a_i^-1 (Type I)."""
+
     TYPE_I = "I"
     TYPE_II = "II"
     TYPE_III = "III"
 
-    @property
-    def r_is_one(self):
-        return self is not RelationFamily.TYPE_III
-
-    @property
-    def gamma_is_alpha_inverse(self):
-        return self is RelationFamily.TYPE_I
+    def __init__(self, value):
+        self.r_is_one = value != "III"
+        self.gamma_is_alpha_inverse = value == "I"
 
     def canon(self, scalar):
         """Specialize a coefficient to the family's ground ring."""
-        if self.r_is_one:
-            return scalar.substitute_r_one()
-        return scalar
+        return scalar.substitute_r_one() if self.r_is_one else scalar
 
     def __str__(self):
         return self.value
@@ -282,7 +284,6 @@ def generator(name, exponent, family):
 
 def invert_element(element):
     """Inverse of a single-term beta-free monomial with unit coefficient."""
-    from .matrices import NonInvertibleEntry
     term = element.single_term()
     if term is None:
         raise NonInvertibleEntry("only single monomials are invertible")

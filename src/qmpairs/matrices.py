@@ -11,10 +11,7 @@ constructions can be compared.
 
 from .scalars import power, quantum_integer
 from .algebra import Element, generator, invert_element
-
-
-class NonInvertibleEntry(ValueError):
-    """A diagonal entry is not an invertible monomial."""
+from .algebra import NonInvertibleEntry  # noqa: F401 (re-exported)
 
 
 class UTMatrix:

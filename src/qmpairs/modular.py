@@ -13,7 +13,7 @@ transforms are confined to diagonal powers and reject these words.
 """
 
 from .scalars import LaurentScalar, q_pow
-from .algebra import TYPE_I, TYPE_II, TYPE_III
+from .algebra import TYPE_I, TYPE_III
 from .matrices import UTMatrix, extract_power_form
 from .pairs import QPair, generator_pair
 from .reports import RelationReport, VIOLATED, compare, streamed

@@ -7,8 +7,8 @@ never raised.  The verify_* suites are generators under reports.streamed:
 each returns its reports as a list, and .stream yields them one by one.
 """
 
-from .scalars import LaurentScalar, q_pow, r_pow
-from .algebra import TYPE_I, TYPE_II, TYPE_III, Element, generator
+from .scalars import ONE, LaurentScalar, q_pow, r_pow
+from .algebra import TYPE_I, TYPE_III, Element, generator
 from .matrices import UTMatrix, generator_matrix, closed_power, closed_product_entries
 from .reports import RelationReport, compare  # noqa: F401 (re-exported)
 from .reports import HOLDS, streamed
@@ -57,11 +57,8 @@ def family_internal_parameters(family, n=1):
     nd_parameter is the factor in A*B = nd * B*C.  n scales the Type III
     parameter for matrices built from n-th powers.
     """
-    if family is TYPE_I:
-        return LaurentScalar.one(), LaurentScalar.one()
-    if family is TYPE_II:
-        return None, LaurentScalar.one()
-    return None, r_pow(n)
+    return (ONE if family.gamma_is_alpha_inverse else None,
+            ONE if family.r_is_one else r_pow(n))
 
 
 def _commutation_products(m1, m2):

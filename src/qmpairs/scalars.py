@@ -435,14 +435,13 @@ class LaurentScalar(SparseSum):
             return other
         if not y:
             return self
-        width = self._width
         gap = self._low - other._low
-        if width != other._width or self._line != other._line or \
-                -_LONG > gap or gap > _LONG:
-            return _add_wide(self, other)
+        if self._line != other._line or -_LONG > gap or gap > _LONG:
+            return SparseSum.__add__(self, other)
+        width = self._width
         norm = self._norm + other._norm
-        if norm >> (width - 1):
-            return _add_wide(self, other)
+        if width != other._width or norm >> (width - 1):
+            return operator.add(*_widened(self, other, operator.add))
         if gap >= 0:
             low = other._low
             total = (x << (width * gap)) + y
@@ -486,7 +485,7 @@ class LaurentScalar(SparseSum):
         width = self._width
         norm = self._norm * other._norm
         if width != other._width or norm >> (width - 1):
-            return _mul_wide(self, other)
+            return operator.mul(*_widened(self, other, operator.mul))
         x *= y
         out = _packed_value(self._line + other._line, self._low + other._low,
                             x, width, norm)
@@ -556,22 +555,6 @@ def _widened(x, y, combine):
     width = max(x._width, y._width, _width_for(combine(xn, yn)))
     return (_packed_value(x._line, x._low, _pack(xd, width), width, xn),
             _packed_value(y._line, y._low, _pack(yd, width), width, yn))
-
-
-def _add_wide(x, y):
-    """x + y for packed values of two widths or r powers, far apart, or
-    near overflow: added term by term when they do not share one r power
-    or their lows are far apart, else repacked at one width by
-    _widened."""
-    if x._line != y._line or abs(x._low - y._low) > _LONG:
-        return SparseSum.__add__(x, y)
-    return operator.add(*_widened(x, y, operator.add))
-
-
-def _mul_wide(x, y):
-    """x * y for packed values of two widths, or whose product could
-    overflow a digit, repacked at one width by _widened."""
-    return operator.mul(*_widened(x, y, operator.mul))
 
 
 def _moved(value, unit):

@@ -1,13 +1,18 @@
 """Triangular kernel: rewrite rules, oracle agreement, algebra laws."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
+import qmpairs
+from qmpairs import algebra, matrices
 from qmpairs.scalars import LaurentScalar, q_pow, r_pow
 from qmpairs.algebra import (
-    TYPE_I, TYPE_II, TYPE_III, Element, generator, oracle_reduce,
-    invert_element, BetaExponent, BetaDegreeExceeded, NonReducible,
+    TYPE_I, TYPE_II, TYPE_III, Element, RelationFamily, generator,
+    oracle_reduce, invert_element, BetaExponent, BetaDegreeExceeded,
+    NonInvertibleEntry, NonReducible,
 )
 
 FAMILIES = (TYPE_I, TYPE_II, TYPE_III)
@@ -56,6 +61,47 @@ def test_inverse_pair_family():
     assert generator("a1", 1, TYPE_I) * generator("g1", 1, TYPE_I) == one
     assert generator("g1", 1, TYPE_I) == generator("a1", -1, TYPE_I)
     assert generator("g2", -3, TYPE_I) == generator("a2", 3, TYPE_I)
+
+
+# family -> (value, r_is_one, gamma_is_alpha_inverse)
+FAMILY_RULES = {
+    TYPE_I: ("I", True, True),
+    TYPE_II: ("II", True, False),
+    TYPE_III: ("III", False, False),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_family_rules_are_plain_member_data(family):
+    value, r_is_one, gamma_is_alpha_inverse = FAMILY_RULES[family]
+    assert family.r_is_one is r_is_one
+    assert family.gamma_is_alpha_inverse is gamma_is_alpha_inverse
+    for rule in ("r_is_one", "gamma_is_alpha_inverse"):
+        assert not isinstance(vars(RelationFamily).get(rule), property)
+        assert rule in vars(family)
+    assert family.value == str(family) == value
+    assert RelationFamily(value) is family
+    assert pickle.loads(pickle.dumps(family)) is family
+    assert copy.deepcopy(family) is family
+
+
+def test_non_invertible_entry_has_one_class():
+    assert qmpairs.NonInvertibleEntry is matrices.NonInvertibleEntry \
+        is algebra.NonInvertibleEntry is NonInvertibleEntry
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+def test_invert_element_refusals(family):
+    a1 = generator("a1", 1, family)
+    refusals = {
+        "only single monomials are invertible":
+            a1 + generator("g1", 1, family),
+        "b generators are not invertible": generator("b1", 1, family),
+        "coefficient 2 is not an invertible scalar": a1.scale(2),
+    }
+    for message, element in refusals.items():
+        with pytest.raises(NonInvertibleEntry, match=message):
+            invert_element(element)
 
 
 def test_commuting_family_drops_r():

@@ -52,6 +52,15 @@ def test_reduce_engine_error_exits_1(capsys):
     assert "BetaDegreeExceeded" in capsys.readouterr().err
 
 
+def test_reduce_non_invertible_entry_exits_1(capsys):
+    code, out = _run(["reduce", "--type", "I",
+                      "[[2 * a1, b1], [0, g1]]^-1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == ("error: NonInvertibleEntry: "
+                                       "coefficient 2 is not an invertible "
+                                       "scalar\n")
+
+
 @pytest.mark.parametrize("family, expression",
                          [("I", "2^15000"), ("mq2", "2^15000 * a")])
 def test_reduce_unprintable_coefficient_exits_1(capsys, family, expression):

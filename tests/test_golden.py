@@ -18,6 +18,9 @@ twin quadruple.
 The Type III `theorem2` grid at range 4, whose internal parameter r^n
 changes from quadruple to quadruple, was recorded from the engine that
 checked each member's internal relations once per tag.
+The Type III `theorem2` and `theorem1` grids at range 8, which reach
+r^n up to n = 8, were recorded from the engine whose relation families
+worked out their two rules on every read.
 The two text streams, `--suite all` for Type II and the Type II
 `theorem2` grid at range 2, were recorded from the engine that gave each
 report its own copy of its params.
@@ -47,6 +50,14 @@ GOLDEN_SHA256 = {
 
 THEOREM2_TYPE3_RANGE4_SHA256 = (
     "30f87e36caa7407bb36834211694f6f94d8931257579ed00be0e6f90c6909ee0")
+
+# suite -> sha256 of the Type III grid at range 8
+TYPE3_RANGE8_SHA256 = {
+    "theorem1":
+        "e28c60645ed9e46e4f12d40d2e67bd1c6ee7deca80e6e51c074c9f5ab409f110",
+    "theorem2":
+        "2e2d51570a348ff46c160481fd733294e5d2a28c110d635227b2546fc0637632",
+}
 
 THEOREM2_RANGE3_SHA256 = {
     "I": "65e3b9ab6128216e4bb980be2de27304dc7b44cdf98e9ee629a36492f634ddb5",
@@ -132,6 +143,13 @@ def test_verify_theorem2_type3_range4_json_matches_golden_hash():
     digest = _digest(["verify", "--suite", "theorem2", "--type", "III",
                            "--range", "4", "--format", "json"])
     assert digest == THEOREM2_TYPE3_RANGE4_SHA256
+
+
+@pytest.mark.parametrize("suite", sorted(TYPE3_RANGE8_SHA256))
+def test_verify_type3_range8_json_matches_golden_hash(suite):
+    digest = _digest(["verify", "--suite", suite, "--type", "III",
+                           "--range", "8", "--format", "json"])
+    assert digest == TYPE3_RANGE8_SHA256[suite]
 
 
 def test_verify_mq2_range4_json_matches_golden_hash():

@@ -292,10 +292,10 @@ UNITS = [ONE, -ONE, q_pow(3), -q_pow(-2), r_pow(-1),
 
 
 def test_unit_products_move_the_other_factor(monkeypatch):
-    def repack(x, y):
+    def repack(x, y, combine):
         raise AssertionError("a unit product was repacked")
 
-    monkeypatch.setattr(scalars, "_mul_wide", repack)
+    monkeypatch.setattr(scalars, "_widened", repack)
     packed = [LaurentScalar({(0, 0): 3, (2, 0): -1}),
               LaurentScalar({(-1, 1): 2 ** 70, (0, 1): -5}),
               LaurentScalar({(0, 0): 2 ** 130, (3, 0): -(2 ** 140),
@@ -406,6 +406,23 @@ def test_two_widths_meet_at_the_wider(monkeypatch, wx, wy):
         [operator.add, operator.mul] * 2
 
 
+@pytest.mark.parametrize("wide", [128, 192, 256])
+@pytest.mark.parametrize("combine", [operator.add, operator.mul],
+                         ids=["add", "mul"])
+def test_two_widths_on_one_line_widen_once(monkeypatch, wide, combine):
+    # 1 + 2 s has norm 3, so the product with a wider value stays within
+    # that value's width, as the sum does
+    x, y = LaurentScalar({(0, 0): 1, (1, 0): 2}), AT_WIDTH[wide]
+    assert (x._width, y._width) == (64, wide)
+    calls = _spy(monkeypatch, "_widened")
+    for a, b in ((x, y), (y, x)):
+        del calls[:]
+        out = combine(a, b)
+        _same(out, combine(_twin(a), _twin(b)))
+        assert out._width == wide
+        assert len(calls) == 1
+
+
 def test_overflow_at_one_width_widens(monkeypatch):
     x = LaurentScalar({(0, 0): 2 ** 31, (1, 0): -3})
     square = x * x
@@ -426,9 +443,14 @@ def test_overflow_at_one_width_widens(monkeypatch):
 def test_far_lows_and_two_r_lines_add_term_by_term(monkeypatch):
     calls = _spy(monkeypatch, "_widened")
     x = AT_WIDTH[64]
+    # the last two are 128 bits wide, with a norm no 64-bit digit holds,
+    # and meet x with far lows or on another r line
+    near_overflow = LaurentScalar({(0, 0): 2 ** 62, (1, 0): 2 ** 62})
     for y in (AT_WIDTH[128].shift(scalars._LONG + 10),
               AT_WIDTH[64].shift(scalars._LONG + 1),
-              AT_WIDTH[128].shift(0, 1), AT_WIDTH[64].shift(2, -1)):
+              AT_WIDTH[128].shift(0, 1), AT_WIDTH[64].shift(2, -1),
+              near_overflow.shift(-scalars._LONG - 4),
+              near_overflow.shift(1, 3)):
         for a, b in ((x, y), (y, x)):
             total = a + b
             _same(total, _twin(a) + _twin(b))

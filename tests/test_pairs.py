@@ -20,6 +20,14 @@ from qmpairs import pairs
 FAMILIES = (TYPE_I, TYPE_II, TYPE_III)
 
 
+@pytest.mark.parametrize("n", (-2, 1, 3))
+def test_family_internal_parameters(n):
+    one = LaurentScalar.one()
+    assert family_internal_parameters(TYPE_I, n) == (one, one)
+    assert family_internal_parameters(TYPE_II, n) == (None, one)
+    assert family_internal_parameters(TYPE_III, n) == (None, r_pow(n))
+
+
 def _bad(reports):
     return [r for r in reports if not r.ok()]
 
