@@ -11,7 +11,8 @@ errors are raised before the first line, so exit 2 leaves stdout empty;
 an engine error in the middle of a suite leaves the lines already
 written on stdout, and still exits 1 with one `error:` line on stderr.
 A reader that closes the pipe early (`| head -1`) stops the run: the
-entry point then exits 1 and prints nothing.
+entry point then exits 1 and prints nothing.  Each command imports only
+the engine modules it runs (see the package docstring).
 """
 
 import argparse
@@ -22,35 +23,36 @@ import json
 import os
 import sys
 
-from .algebra import RelationFamily
-from .grammar import parse_triangular, parse_background, ParseError
-from .pairs import (verify_prop1, verify_prop2, verify_prop3,
-                    verify_theorem1, verify_theorem2, generator_pair)
-from .modular import (parse_word, apply_word, word_to_matrix, exponent_rows,
-                      verify_theorem3, WordSyntaxError, UnsupportedFamily)
-from . import mq2
+import qmpairs
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
 
-_FAMILIES = {family.value: family for family in RelationFamily}
+_FAMILIES = ("I", "II", "III")  # the RelationFamily values
 _MODULAR = ("I", "II")
 
-# suite -> (runner(family, power_range), the --type tokens it accepts, or
-# None for a suite that takes no family and ignores --type); `--suite all`
-# runs, in this order, every row that accepts its --type
+
+@functools.cache
+def _family(token):
+    return qmpairs.algebra.RelationFamily(token)
+
+
+# suite -> (runner(family, n), which loads its engine module when called,
+# and the --type tokens it accepts, or None for a suite that ignores
+# --type); `--suite all` runs, in this order, every row that accepts its type
 _SUITES = {
-    "prop1": (verify_prop1.stream, tuple(_FAMILIES)),
-    "prop2": (lambda family, power_range: verify_prop2.stream(power_range),
-              ("I",)),
-    "prop3": (verify_prop3.stream, tuple(_FAMILIES)),
-    "theorem1": (verify_theorem1.stream, tuple(_FAMILIES)),
-    "theorem2": (verify_theorem2.stream, tuple(_FAMILIES)),
-    "theorem3": (lambda family, power_range: verify_theorem3.stream(family),
+    "prop1": (lambda f, n: qmpairs.pairs.verify_prop1.stream(f, n), _FAMILIES),
+    "prop2": (lambda f, n: qmpairs.pairs.verify_prop2.stream(n), ("I",)),
+    "prop3": (lambda f, n: qmpairs.pairs.verify_prop3.stream(f, n), _FAMILIES),
+    "theorem1": (lambda f, n: qmpairs.pairs.verify_theorem1.stream(f, n),
+                 _FAMILIES),
+    "theorem2": (lambda f, n: qmpairs.pairs.verify_theorem2.stream(f, n),
+                 _FAMILIES),
+    "theorem3": (lambda f, n: qmpairs.modular.verify_theorem3.stream(f),
                  _MODULAR),
-    "mq2": (lambda family, power_range: itertools.chain(
-        mq2.verify_results.stream(power_range),
-        mq2.verify_pbw_smoke.stream()), None),
+    "mq2": (lambda f, n: itertools.chain(
+        qmpairs.mq2.verify_results.stream(n),
+        qmpairs.mq2.verify_pbw_smoke.stream()), None),
 }
 
 SUITES = (*_SUITES, "all")
@@ -67,7 +69,7 @@ _REPORT_LINE = ('{"expected": %s, "family": %s, "lhs": %s, "params": %s, '
                 '"relation": %s, "rhs": %s, "status": %s, "suite": %s}')
 
 
-class UsageError(ValueError):
+class UsageError(qmpairs.InputError):
     """Command combination outside the contract; maps to exit 2."""
 
 
@@ -86,7 +88,7 @@ def stream_reports(suite, family_token, power_range):
     if family_token not in accepts:
         raise UsageError("%s is defined for --type %s only"
                          % (suite, " or ".join(accepts)))
-    return runner(_FAMILIES[family_token], power_range)
+    return runner(_family(family_token), power_range)
 
 
 def suites_for(family_token):
@@ -155,10 +157,11 @@ def emit_reports(reports, fmt, out):
 
 
 def _run_reduce(args, out):
+    grammar = qmpairs.grammar
     if args.type == "mq2":
-        value = parse_background(args.expression)
+        value = grammar.parse_background(args.expression)
     else:
-        value = parse_triangular(args.expression, _FAMILIES[args.type])
+        value = grammar.parse_triangular(args.expression, _family(args.type))
     if args.format == "json":
         out.write(_ENCODER.encode({"family": args.type,
                                    "input": args.expression,
@@ -185,10 +188,11 @@ def _run_verify(args, out):
 
 
 def _run_modular(args, out):
-    word = parse_word(args.word)
-    pair = apply_word(word, generator_pair(_FAMILIES[args.type]))
-    rows = exponent_rows(pair)
-    shadow = word_to_matrix(word)
+    modular, family = qmpairs.modular, _family(args.type)
+    word = modular.parse_word(args.word)
+    pair = modular.apply_word(word, qmpairs.pairs.generator_pair(family))
+    rows = modular.exponent_rows(pair)
+    shadow = modular.word_to_matrix(word)
     if args.format == "json":
         out.write(_ENCODER.encode({
             "family": args.type, "word": "".join(word),
@@ -222,27 +226,24 @@ def build_parser():
                                              "to normal form")
     reduce_p.add_argument("expression")
     reduce_p.add_argument("--type", required=True,
-                          choices=("I", "II", "III", "mq2"))
-    reduce_p.add_argument("--format", default="text",
-                          choices=("text", "json"))
-    reduce_p.set_defaults(handler=_run_reduce)
+                          choices=(*_FAMILIES, "mq2"))
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument("--suite", required=True, choices=SUITES)
-    verify_p.add_argument("--type", choices=tuple(_FAMILIES))
+    verify_p.add_argument("--type", choices=_FAMILIES)
     verify_p.add_argument("--range", type=int, default=2,
                           help="half-width of the exponent grids")
-    verify_p.add_argument("--format", default="text",
-                          choices=("text", "json"))
-    verify_p.set_defaults(handler=_run_verify)
 
     modular_p = sub.add_parser("modular", help="apply a letter word "
                                                "to the generator pair")
     modular_p.add_argument("--type", required=True, choices=_MODULAR)
     modular_p.add_argument("--word", required=True)
-    modular_p.add_argument("--format", default="text",
-                           choices=("text", "json"))
-    modular_p.set_defaults(handler=_run_modular)
+
+    for command, handler in ((reduce_p, _run_reduce), (verify_p, _run_verify),
+                             (modular_p, _run_modular)):
+        command.add_argument("--format", default="text",
+                             choices=("text", "json"))
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -256,7 +257,7 @@ def main(argv=None, out=None):
         return err.code if isinstance(err.code, int) else USAGE_EXIT
     try:
         return args.handler(args, out)
-    except (ParseError, WordSyntaxError, UsageError, UnsupportedFamily) as err:
+    except qmpairs.InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return USAGE_EXIT
     except (ValueError, RecursionError) as err:

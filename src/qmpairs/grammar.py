@@ -9,26 +9,25 @@ knows a b c d Di and the primed copies a' b' c' d' Di', plus s and q
 One recursive-descent parser serves both modes.  It is given the
 engine's generator names and constructors, and evaluates as it parses;
 a literal's entries are parsed in place by the same expression rule as
-top-level input.
+top-level input.  Each mode imports its engine on first use, so
+parse_background loads no triangular module and parse_triangular no mq2.
 
 Syntax errors raise ParseError with a 1-based column; errors coming out
 of the engine (bad corner exponents, non-invertible entries) propagate
 unchanged.
 """
 
-from functools import partial
+from functools import cache, partial
 
+from . import InputError
 from .scalars import LaurentScalar
-from .algebra import Element, generator, DIAG_NAMES, BETA_NAMES
-from .matrices import UTMatrix, generator_matrix
-from .mq2 import QGElement, _MONO_NAMES
 
 MATRIX_NAMES = ("U1", "U2")
 _TRI_SCALARS = {"s": (1, 0), "q": (2, 0), "r": (0, 1)}
 _BG_SCALARS = {"s": (1, 0), "q": (2, 0)}
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message, column):
         super().__init__("%s (column %d)" % (message, column))
         self.column = column
@@ -79,11 +78,11 @@ class _Parser:
     names are the engine's generators, built by generator(name, exponent);
     scalars maps each scalar name to the (s, r) exponents of its first
     power, and scalar(LaurentScalar) builds the engine's scalar values.
-    matrix(index) builds U1 and U2 in triangular mode.
+    matrix(index) and literal(e11, e12, e22) build triangular matrices.
     """
 
     def __init__(self, tokens, names, generator, scalars, scalar,
-                 matrix=None):
+                 matrix=None, literal=None):
         self.tokens = tokens
         self.pos = 0
         self.names = names
@@ -91,6 +90,7 @@ class _Parser:
         self.scalars = scalars
         self.scalar = scalar
         self.matrix = matrix
+        self.make_literal = literal
 
     def peek(self):
         return self.tokens[self.pos]
@@ -210,7 +210,22 @@ class _Parser:
         self.expect_sym("]")
         if e21:
             raise ParseError("lower left entry must reduce to 0", col)
-        return UTMatrix(e11, e12, e22)
+        return self.make_literal(e11, e12, e22)
+
+
+@cache
+def _triangular(family):
+    from .algebra import Element, generator, DIAG_NAMES, BETA_NAMES
+    from .matrices import UTMatrix, generator_matrix
+    return (DIAG_NAMES + BETA_NAMES, partial(generator, family=family),
+            _TRI_SCALARS, partial(Element.scalar, family),
+            partial(generator_matrix, family=family), UTMatrix)
+
+
+@cache
+def _background():
+    from .mq2 import QGElement, _MONO_NAMES
+    return _MONO_NAMES, QGElement.generator, _BG_SCALARS, QGElement.scalar
 
 
 def parse_triangular(src, family):
@@ -218,10 +233,7 @@ def parse_triangular(src, family):
     '[' of a literal), Element for input with none; an input whose first
     matrix token comes later is an error at that token's column."""
     tokens = tokenize(src)
-    parser = _Parser(tokens, DIAG_NAMES + BETA_NAMES,
-                     partial(generator, family=family), _TRI_SCALARS,
-                     partial(Element.scalar, family),
-                     partial(generator_matrix, family=family))
+    parser = _Parser(tokens, *_triangular(family))
     first = next((index for index, (kind, value, _) in enumerate(tokens)
                   if (kind == "NAME" and value in MATRIX_NAMES)
                   or (kind == "SYM" and value == "[")), None)
@@ -235,6 +247,5 @@ def parse_triangular(src, family):
 
 def parse_background(src):
     """QGElement over the background generator set."""
-    parser = _Parser(tokenize(src), _MONO_NAMES, QGElement.generator,
-                     _BG_SCALARS, QGElement.scalar)
+    parser = _Parser(tokenize(src), *_background())
     return parser.parse(parser.expression)

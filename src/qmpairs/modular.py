@@ -12,6 +12,7 @@ Only the two families with r = 1 support the action; the third family's
 transforms are confined to diagonal powers and reject these words.
 """
 
+from . import InputError
 from .scalars import LaurentScalar, q_pow
 from .algebra import TYPE_I, TYPE_III
 from .matrices import UTMatrix, extract_power_form
@@ -22,7 +23,7 @@ LETTERS = ("S", "T", "S'", "T'")
 _INVERSE = {"S": "S'", "S'": "S", "T": "T'", "T'": "T"}
 
 
-class UnsupportedFamily(ValueError):
+class UnsupportedFamily(InputError):
     """The family does not carry this group action."""
 
 
@@ -30,7 +31,7 @@ class CorrespondenceBroken(ValueError):
     """A transformed pair fell outside the scalar-times-powers form."""
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputError):
     """The word contains a character outside S, T, S', T'."""
 
     def __init__(self, message, column):

@@ -86,7 +86,7 @@ def test_reduce_recursion_error_exits_1(capsys, monkeypatch):
     def too_deep(src):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "parse_background", too_deep)
+    monkeypatch.setattr("qmpairs.grammar.parse_background", too_deep)
     code, out = _run(["reduce", "--type", "mq2", "d * a"])
     assert (code, out) == (1, "")
     err = capsys.readouterr().err
