@@ -6,10 +6,13 @@ engine error, 2 on parse or usage errors.  JSON output is one report
 object per line with sorted keys, so identical invocations produce
 byte-identical streams.
 
-`verify` writes each report as soon as its suite decides it.  Usage
-errors are raised before the first line, so exit 2 leaves stdout empty;
-an engine error in the middle of a suite leaves the lines already
-written on stdout, and still exits 1 with one `error:` line on stderr.
+`verify` writes each grid point's reports, in one write, as soon as the
+grid point is decided: one write per line would cost one system call
+per line under PYTHONUNBUFFERED=1, on a TTY or into a line-buffered
+pipe.  Usage errors are raised before the first line, so exit 2 leaves
+stdout empty; an engine error in the middle of a suite leaves every line
+decided before it on stdout, and still exits 1 with one `error:` line
+on stderr.
 A reader that closes the pipe early (`| head -1`) stops the run: the
 entry point then exits 1 and prints nothing.  Each command imports only
 the engine modules it runs (see the package docstring).
@@ -125,31 +128,47 @@ def _report_text(report):
 
 
 def emit_reports(reports, fmt, out):
-    """Write each report of the iterable as it arrives, counting as it
-    goes; text output ends with a summary line.
+    """Write the reports of the iterable one grid point at a time,
+    counting as it goes; text output ends with a summary line.
 
     The reports of one grid point share one params object (see
-    RelationReport), so its JSON is kept and reused while the next report
-    carries that same object, and any other object is encoded afresh:
+    RelationReport).  Their lines are held until a report with another
+    params object arrives, or the stream ends or raises, and then go out
+    in one write (see the module docstring for why).  The JSON of the
+    held params is reused, and any other object is encoded afresh:
     params objects must not change while a stream is written.
     """
     checked = failed = expected = 0
     write = out.write
+    held = []
     last = last_json = None
-    for report in reports:
-        checked += 1
-        if report.status != "holds":
-            if report.expected:
-                expected += 1
-            else:
-                failed += 1
-        if fmt == "json":
+
+    def write_held():
+        # emptied before the write, so that a closed pipe is written once
+        chunk = "\n".join(held) + "\n"
+        held.clear()
+        write(chunk)
+
+    try:
+        for report in reports:
+            checked += 1
+            if report.status != "holds":
+                if report.expected:
+                    expected += 1
+                else:
+                    failed += 1
             if report.params is not last:
+                if held:
+                    write_held()
                 last = report.params
-                last_json = _ENCODER.encode(last)
-            write(_report_json(report, last_json) + "\n")
-        else:
-            write(_report_text(report) + "\n")
+                if fmt == "json":
+                    last_json = _ENCODER.encode(last)
+            held.append(_report_json(report, last_json) if fmt == "json"
+                        else _report_text(report))
+    finally:
+        # also on an engine error: the lines decided so far reach out
+        if held:
+            write_held()
     if fmt == "text":
         write("%d relations checked, %d unexpected violations, "
               "%d expected diagnostics\n" % (checked, failed, expected))

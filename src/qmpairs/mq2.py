@@ -89,7 +89,13 @@ def _block_mul(x, y):
     """Normal form of the block product x * y as a tuple of (block, scalar).
 
     A block is the exponent vector (i, j, k, l, m) of a^i b^j c^k d^l Di^m.
-    The a's of y enter one at a time through
+    When x has no d, the a's of y enter at once through
+
+        b^j c^k a^i = q^-((j+k)i) a^i b^j c^k,
+
+    which is the t = 0 term, and when l = 0 the only one, of the closed
+    sum over the t a's consumed (ROADMAP, "A closed-form block
+    product").  Otherwise they enter one at a time through
 
         b^j c^k d^l a = q^-(j+k) a b^j c^k d^l
                         + (q^(1-2l) - q) b^(j+1) c^(k+1) d^(l-1),
@@ -99,15 +105,20 @@ def _block_mul(x, y):
     level by level, each level taking one a and one d through
     a d Di = 1 + q b c Di.
     """
-    terms = {x[:4]: ONE}
-    for _ in range(y[0]):
-        entered = {}
-        for (i, j, k, l), coeff in terms.items():
-            accumulate(entered, (i + 1, j, k, l), coeff.shift(-2 * (j + k)))
-            if l:
-                accumulate(entered, (i, j + 1, k + 1, l - 1),
-                           coeff.shift(2 - 4 * l) - coeff.shift(2))
-        terms = entered
+    if x[3]:
+        terms = {x[:4]: ONE}
+        for _ in range(y[0]):
+            entered = {}
+            for (i, j, k, l), coeff in terms.items():
+                accumulate(entered, (i + 1, j, k, l),
+                           coeff.shift(-2 * (j + k)))
+                if l:
+                    accumulate(entered, (i, j + 1, k + 1, l - 1),
+                               coeff.shift(2 - 4 * l) - coeff.shift(2))
+            terms = entered
+    else:
+        i, j, k, _ = x[:4]
+        terms = {(i + y[0], j, k, 0): q_pow(-2 * (j + k) * y[0])}
     _, j2, k2, l2, m2 = y
     live = {(i, j + j2, k + k2, l + l2, x[4] + m2):
             coeff.shift(-2 * l * (j2 + k2))

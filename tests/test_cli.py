@@ -1,6 +1,8 @@
 """CLI contract: commands, exit codes, deterministic JSON reports."""
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -320,16 +322,22 @@ def test_usage_errors_write_nothing():
 
 
 def test_engine_error_mid_stream_keeps_written_lines(capsys, monkeypatch):
-    first = RelationReport("prop1", "I", {"n": 0}, "x = x")
+    """The failing grid point's reports are held for one write; the error
+    still lets every line decided before it out."""
+    params = {"n": 0}
+    first = RelationReport("prop1", "I", params, "x = x")
+    second = RelationReport("prop1", "I", params, "y = y")
 
     def failing(suite, family_token, power_range):
         yield first
+        yield second
         raise ValueError("engine failure")
 
     monkeypatch.setattr(cli, "stream_reports", failing)
     code, out = _run(["verify", "--suite", "prop1", "--type", "I",
                       "--format", "json"])
-    assert (code, out) == (1, _encoded(first) + "\n")
+    assert (code, out) == (1, _encoded(first) + "\n" + _encoded(second)
+                           + "\n")
     assert capsys.readouterr().err == "error: ValueError: engine failure\n"
 
 
@@ -395,6 +403,65 @@ def test_suite_functions_return_the_collected_stream():
 class _Discard:
     def write(self, text):
         return len(text)
+
+
+class _Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+# sha256 of `qmp verify --suite theorem2 --type I --range 1` by format
+_THEOREM2_I_RANGE1_SHA256 = {
+    "json": "271fb0ea98b2d29b54ea4943e24f321635c9484619c0809fae18c6d6557d4f32",
+    "text": "84e0c6c62c5cb74e83f6efd928b6bd7ba815d60254e690e00244e5c3296d6122",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_writes_each_grid_point_once(fmt):
+    """One write per theorem2 quadruple (3^4 = 81 at range 1), each
+    holding that quadruple's reports only; text adds its summary line
+    as a last write of its own, and the bytes are unchanged."""
+    out = _Recorder()
+    assert main(["verify", "--suite", "theorem2", "--type", "I",
+                 "--range", "1", "--format", fmt], out=out) == 0
+    joined = "".join(out.writes).encode()
+    assert hashlib.sha256(joined).hexdigest() == \
+        _THEOREM2_I_RANGE1_SHA256[fmt]
+    reports = list(verify_theorem2.stream(qmpairs.TYPE_I, 1))
+    # every report is alive in the list, so ids tell params objects apart
+    points = [list(group) for _, group
+              in itertools.groupby(reports, lambda r: id(r.params))]
+    line = _encoded if fmt == "json" else cli._report_text
+    expected = ["".join(line(r) + "\n" for r in point) for point in points]
+    if fmt == "text":
+        expected.append("1053 relations checked, 0 unexpected violations, "
+                        "0 expected diagnostics\n")
+    assert len(points) == 81
+    assert out.writes == expected
+
+
+def test_closed_pipe_is_not_written_again():
+    """A write that finds the pipe closed is the last one: the grid point
+    it held is not written again on the way out."""
+    class ClosedAfterOneWrite:
+        calls = 0
+
+        def write(self, text):
+            self.calls += 1
+            if self.calls > 1:
+                raise BrokenPipeError
+            return len(text)
+
+    out = ClosedAfterOneWrite()
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "--suite", "theorem2", "--type", "I", "--range", "1",
+              "--format", "json"], out=out)
+    assert out.calls == 2
 
 
 def test_reports_of_a_quadruple_share_one_params_object(monkeypatch):

@@ -241,6 +241,23 @@ def test_d_free_block_products_match_word_reduction():
             expected, (x, y)
 
 
+def test_d_free_left_block_enters_all_a_at_once():
+    """With no d on the left, _block_mul moves every a of the right block
+    in one shift; the oracle is reduce_word on the letters."""
+    rng = random.Random(47)
+    for _ in range(200):
+        x = tuple(rng.randint(0, 8) for _ in range(3)) + (0, 0)
+        y = tuple(rng.randint(0, 8) for _ in range(4)) + (0,)
+        expected = {block + (0,): coeff for block, coeff in
+                    reduce_word(_letters(x[:4]) + _letters(y[:4])).items()}
+        assert dict(_block_mul(x, y)) == expected, (x, y)
+
+
+def test_long_power_of_a_is_one_generator_power():
+    n = 1_600_000
+    assert parse_background("(a)^%d" % n) == gen("a", n)
+
+
 def test_d_free_large_exponent_is_one_term():
     big = gen("a", 10000)
     assert (big * big).terms == {(20000,) + (0,) * 9: ONE}
