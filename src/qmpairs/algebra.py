@@ -35,7 +35,7 @@ tested against.
 
 import enum
 
-from .scalars import LaurentScalar, SparseSum, accumulate, power
+from .scalars import LaurentScalar, SparseSum, accumulate, power, product
 
 ONE = LaurentScalar.one()
 
@@ -110,15 +110,18 @@ def _sgn(n):
     return (n > 0) - (n < 0)
 
 
-def _mono_mul(family, left, right):
-    """Product of two canonical monomials.
+def _mono_mul(out, left, right, coeff, family):
+    """Add coeff times the product of two canonical monomials of family
+    into out; scalars.product's kernel for Element.
 
-    Returns (monomial, s_shift, r_shift) where the shifts are the exponents
-    of the scalar factor produced by reordering.  The right monomial enters
-    one slot at a time, in the order a1, a2, b, g1, g2, and each slot moves
-    as a block: X^e crosses a left exponent f of a later diagonal letter Y
-    at the factor q^(-e*f*E[x][y]), and b_k turns a1^a a2^b on its left into
-    g1^a g2^b at a times the a1 push and b times the a2 push of _BPUSH.
+    Reordering brings a scalar factor s^s_sh r^r_sh, applied to coeff as a
+    shift.  The coefficients of an r = 1 family are r-free, so dropping the
+    r shift there does what canon would do, without an r-bearing
+    intermediate.  The right monomial enters one slot at a time, in the
+    order a1, a2, b, g1, g2, and each slot moves as a block: X^e crosses a
+    left exponent f of a later diagonal letter Y at the factor
+    q^(-e*f*E[x][y]), and b_k turns a1^a a2^b on its left into g1^a g2^b
+    at a times the a1 push and b times the a2 push of _BPUSH.
     oracle_reduce applies the same rules one unit at a time.
     """
     beta = left[0]
@@ -152,7 +155,8 @@ def _mono_mul(family, left, right):
         for y in range(x + 1, 4):
             s_sh -= 2 * e * _E[x][y] * exps[y]
         exps[x] += e
-    return (beta, *exps), s_sh, r_sh
+    accumulate(out, (beta, *exps),
+               coeff.shift(s_sh, 0 if family.r_is_one else r_sh))
 
 
 def _mono_factors(mono):
@@ -226,17 +230,9 @@ class Element(SparseSum):
         if not isinstance(other, Element):
             return NotImplemented
         self._check_family(other)
-        family = self.family
-        # the coefficients of an r = 1 family are r-free, so dropping the r
-        # shift does what canon would do, without an r-bearing intermediate
-        keep_r = not family.r_is_one
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono, s_sh, r_sh = _mono_mul(family, m1, m2)
-                accumulate(out, mono,
-                           (c1 * c2).shift(s_sh, r_sh if keep_r else 0))
-        return self._like(out)
+        # looked up per call, so a wrapper set on _mono_mul sees every pair
+        return self._like(product(self.terms, other.terms, _mono_mul,
+                                  self.family))
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentScalar)):

@@ -181,12 +181,19 @@ def _run_reduce(args, out):
         value = grammar.parse_background(args.expression)
     else:
         value = grammar.parse_triangular(args.expression, _family(args.type))
+    try:
+        text = value.text()
+    except ValueError as err:   # str() of an integer past the limit
+        raise qmpairs.InputError(
+            "the normal form has a coefficient longer than %d digits, the "
+            "limit for printing an integer" % sys.get_int_max_str_digits()
+        ) from err
     if args.format == "json":
         out.write(_ENCODER.encode({"family": args.type,
                                    "input": args.expression,
-                                   "normal_form": value.text()}) + "\n")
+                                   "normal_form": text}) + "\n")
     else:
-        out.write(value.text() + "\n")
+        out.write(text + "\n")
     return 0
 
 

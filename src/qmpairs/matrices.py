@@ -1,30 +1,32 @@
 """Upper triangular 2x2 matrices over the triangular pair algebra.
 
-A matrix is (a11, a12; 0, a22) with Element entries.  The two generator
-matrices U1 = (a1, b1; 0, g1) and U2 = (a2, b2; 0, g2) and their inverses
-generate everything the verification suites need.  Closed forms for
-powers and for the product U1^n * U2^m are built from quantum integers
-and generator powers; pow() builds the same matrices as products,
-formed in scalars.power like every power in the engine, so the two
-constructions can be compared.
+A matrix is (a11, a12; 0, a22) with Element entries, a scalars.Matrix2x2
+with its own triangular product.  The generator matrices U1 = (a1, b1;
+0, g1) and U2 = (a2, b2; 0, g2) and their inverses generate everything
+the verification suites need.  Closed forms for powers and for the
+product U1^n * U2^m are built from quantum integers and generator
+powers; pow() builds the same matrices as products, formed in
+scalars.power like every power in the engine, so the two constructions
+can be compared.
 """
 
-from .scalars import power, quantum_integer
+from .scalars import Matrix2x2, power, quantum_integer
 from .algebra import Element, generator, invert_element
 from .algebra import NonInvertibleEntry  # noqa: F401 (re-exported)
 
 
-class UTMatrix:
-    """Upper triangular matrix with entries in one relation family."""
+class UTMatrix(Matrix2x2):
+    """Upper triangular matrix with entries in one relation family;
+    entries() is (a11, a12, a22), and its product is triangular."""
 
     __slots__ = ("a11", "a12", "a22")
+
+    _layout = "[[%s, %s], [0, %s]]"
 
     def __init__(self, a11, a12, a22):
         if a11.family is not a12.family or a11.family is not a22.family:
             raise ValueError("entries belong to different relation families")
-        self.a11 = a11
-        self.a12 = a12
-        self.a22 = a22
+        self.a11, self.a12, self.a22 = a11, a12, a22
 
     @property
     def family(self):
@@ -62,21 +64,6 @@ class UTMatrix:
         base = self.inverse() if n < 0 else self
         return power(UTMatrix.identity(self.family), base, abs(n))
 
-    def entries(self):
-        return (self.a11, self.a12, self.a22)
-
-    def __eq__(self, other):
-        if not isinstance(other, UTMatrix):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def text(self):
-        return "[[%s, %s], [0, %s]]" % (
-            self.a11.text(), self.a12.text(), self.a22.text())
-
     def __repr__(self):
         return "<%s: %s>" % (self.family.value, self.text())
 
@@ -85,11 +72,8 @@ def generator_matrix(index, family):
     """The generator matrix U1 or U2 for index 1 or 2."""
     if index not in (1, 2):
         raise ValueError("index must be 1 or 2")
-    return UTMatrix(
-        generator("a%d" % index, 1, family),
-        generator("b%d" % index, 1, family),
-        generator("g%d" % index, 1, family),
-    )
+    return UTMatrix(*(generator("%s%d" % (x, index), 1, family)
+                      for x in "abg"))
 
 
 def closed_power(index, n, family):

@@ -13,7 +13,7 @@ transforms are confined to diagonal powers and reject these words.
 """
 
 from . import InputError
-from .scalars import LaurentScalar, q_pow
+from .scalars import LaurentScalar, Matrix2x2, q_pow
 from .algebra import TYPE_I, TYPE_III
 from .matrices import UTMatrix, extract_power_form
 from .pairs import QPair, generator_pair
@@ -100,42 +100,23 @@ def apply_word(word, pair):
     return QPair(v1, v2)
 
 
-class SL2ZMatrix:
-    """2 x 2 integer matrix, just enough for the letter homomorphism."""
+class SL2ZMatrix(Matrix2x2):
+    """2 x 2 integer matrix, just enough for the letter homomorphism; its
+    product, equality, hash and text are those of scalars.Matrix2x2."""
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
+    _entry_text = str
 
     @classmethod
     def identity(cls):
         return cls(1, 0, 0, 1)
-
-    def __mul__(self, other):
-        return SL2ZMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, SL2ZMatrix):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == \
-               (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
 
     def det(self):
         return self.a * self.d - self.b * self.c
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
-
-    def text(self):
-        return "[[%d, %d], [%d, %d]]" % (self.a, self.b, self.c, self.d)
 
     def __repr__(self):
         return "SL2ZMatrix(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)

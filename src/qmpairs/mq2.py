@@ -28,7 +28,8 @@ _coproduct_combination).
 import operator
 from functools import lru_cache
 
-from .scalars import SparseSum, accumulate, q_pow, power, ONE
+from .scalars import (ONE, Matrix2x2, SparseSum, accumulate, power, product,
+                      q_pow)
 from .reports import RelationReport, HOLDS, compare, streamed
 
 MQ2 = "mq2"
@@ -139,16 +140,17 @@ def _block_mul(x, y):
     return tuple(out.items())
 
 
-def _mono_mul(x, y):
-    """Product of two 10-exponent monomials as {monomial: scalar}.
+def _mono_mul(out, x, y, coeff, _rules):
+    """Add coeff times the product of two 10-exponent monomials into out;
+    scalars.product's kernel for QGElement.
 
     The unprimed and primed blocks commute, so the product is the
-    product of the two block products.
+    product of the two block products, term by term.
     """
     primed = _block_mul(x[5:], y[5:])
-    return {block + pblock: coeff * pcoeff
-            for block, coeff in _block_mul(x[:5], y[:5])
-            for pblock, pcoeff in primed}
+    for block, bcoeff in _block_mul(x[:5], y[:5]):
+        for pblock, pcoeff in primed:
+            accumulate(out, block + pblock, coeff * (bcoeff * pcoeff))
 
 
 _ZERO10 = (0,) * 10
@@ -212,13 +214,8 @@ class QGElement(SparseSum):
     def __mul__(self, other):
         if not isinstance(other, QGElement):
             return NotImplemented
-        out = {}
-        for xm, xc in self.terms.items():
-            for ym, yc in other.terms.items():
-                coeff = xc * yc
-                for mono, factor in _mono_mul(xm, ym).items():
-                    accumulate(out, mono, coeff * factor)
-        return _wrap_element(out)
+        # looked up per call, as in Element.__mul__
+        return _wrap_element(product(self.terms, other.terms, _mono_mul))
 
     def __pow__(self, n):
         if n < 0:
@@ -229,41 +226,16 @@ class QGElement(SparseSum):
         return "QGElement(%s)" % self.text()
 
 
-class FullMatrix:
-    """General 2 x 2 matrix with QGElement entries."""
+class FullMatrix(Matrix2x2):
+    """General 2 x 2 matrix with QGElement entries; its product,
+    equality, hash and text are those of scalars.Matrix2x2."""
 
     __slots__ = ("e11", "e12", "e21", "e22")
-
-    def __init__(self, e11, e12, e21, e22):
-        self.e11, self.e12, self.e21, self.e22 = e11, e12, e21, e22
 
     @classmethod
     def identity(cls):
         one, zero = QGElement.one(), QGElement.zero()
         return cls(one, zero, zero, one)
-
-    def __mul__(self, other):
-        if not isinstance(other, FullMatrix):
-            return NotImplemented
-        return FullMatrix(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22)
-
-    def entries(self):
-        return (self.e11, self.e12, self.e21, self.e22)
-
-    def __eq__(self, other):
-        if not isinstance(other, FullMatrix):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def text(self):
-        return "[[%s, %s], [%s, %s]]" % tuple(e.text() for e in self.entries())
 
     def __repr__(self):
         return "FullMatrix(%s)" % self.text()
@@ -271,9 +243,7 @@ class FullMatrix:
 
 def generator_full_matrix(primed=False):
     suffix = "'" if primed else ""
-    gen = QGElement.generator
-    return FullMatrix(gen("a" + suffix), gen("b" + suffix),
-                      gen("c" + suffix), gen("d" + suffix))
+    return FullMatrix(*(QGElement.generator(x + suffix) for x in "abcd"))
 
 
 def qg_inverse_matrix(primed=False):

@@ -36,6 +36,10 @@ packed value's digits, lowest first, which are already in ascending s
 order, and sorts only a dict-held value's terms.  A product with a unit
 +-s^a r^b moves the other factor by (a, b) and flips its sign for -1,
 keeping its width and norm: no digit changes size.
+
+The module also holds what the engine's values share: the sum core
+SparseSum, the one term-pair product loop product(), the one power
+routine power(), and Matrix2x2, the one body of the 2 x 2 matrices.
 """
 
 import operator
@@ -62,8 +66,9 @@ class SparseSum:
     one key, for text(); Element refines _coefficient(coeff), the one way a
     coefficient enters, to its family's ground ring.  Values are equal
     when they share class, family and terms.  LaurentScalar keeps its own
-    equality, hash and text, which read its digits.  Products stay in the
-    subclasses, whose inner loops are the engine's hot paths.
+    equality, hash and text, which read its digits.  Each subclass keeps a
+    thin __mul__ with its own operand rule, and every term-by-term product
+    runs the one loop of product(), with the subclass's kernel.
     """
 
     __slots__ = ()
@@ -142,6 +147,20 @@ class SparseSum:
             else:
                 chunks.append("-" + body if negative else body)
         return "".join(chunks) or "0"
+
+
+def product(x, y, kernel, rules=None):
+    """The term-pair product of two term mappings, as a new dict out: for
+    each term of x and each of y, kernel(out, key_x, key_y, coeff_x *
+    coeff_y, rules) adds that pair's product into out, with whatever
+    factor or extra terms the algebra's reordering brings.  rules is
+    what the kernel needs beyond the keys: an Element's family."""
+    out = {}
+    right = y.items()
+    for kx, cx in x.items():
+        for ky, cy in right:
+            kernel(out, kx, ky, cx * cy, rules)
+    return out
 
 
 def accumulate(out, key, coeff):
@@ -475,7 +494,8 @@ class LaurentScalar(SparseSum):
                 return NotImplemented
         x, y = self._packed, other._packed
         if x is None or y is None:
-            return _mul_terms(self, other)
+            return _from_terms(product(self._term_dict(), other._term_dict(),
+                                       _term_mul))
         if not x or not y:
             return ZERO
         if y == 1 or y == -1:
@@ -565,14 +585,9 @@ def _moved(value, unit):
     return out if unit._packed == 1 else -out
 
 
-def _mul_terms(x, y):
-    """x * y term by term, for a factor that is not packed."""
-    out = {}
-    right = y._term_dict().items()
-    for (a1, b1), c1 in x._term_dict().items():
-        for (a2, b2), c2 in right:
-            accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
-    return _from_terms(out)
+def _term_mul(out, x, y, coeff, _rules):
+    """product's kernel for two scalar terms, s^a r^b and s^a' r^b'."""
+    accumulate(out, (x[0] + y[0], x[1] + y[1]), coeff)
 
 
 ZERO = _packed_value(0, 0, 0, 64, 0)
@@ -641,3 +656,48 @@ def quantum_integer(n):
     if n == 0:
         return LaurentScalar.zero()
     return LaurentScalar({(0, t): -1 for t in range(n, 0)})
+
+
+class Matrix2x2:
+    """The product, entries, equality, hash and text of a 2 x 2 matrix:
+    mq2.FullMatrix, modular.SL2ZMatrix and matrices.UTMatrix.
+
+    A subclass lists its entries' names, in row order, as its __slots__;
+    it may set _entry_text, how one entry renders, and _layout, the text
+    around them.  UTMatrix lists its upper triangle only and keeps its
+    own constructor and product.
+    """
+
+    __slots__ = ()
+
+    _entry_text = operator.methodcaller("text")
+    _layout = "[[%s, %s], [%s, %s]]"
+
+    def __init_subclass__(cls):
+        cls._entries = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, e11, e12, e21, e22):
+        for name, entry in zip(self.__slots__, (e11, e12, e21, e22)):
+            setattr(self, name, entry)
+
+    def entries(self):
+        return self._entries(self)
+
+    def __mul__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b, c, d = self._entries(self)
+        e, f, g, h = other._entries(other)
+        return self.__class__(a * e + b * g, a * f + b * h,
+                              c * e + d * g, c * f + d * h)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._entries(self) == other._entries(other)
+
+    def __hash__(self):
+        return hash(self._entries(self))
+
+    def text(self):
+        return self._layout % tuple(map(self._entry_text, self._entries(self)))

@@ -63,17 +63,31 @@ def test_reduce_non_invertible_entry_exits_1(capsys):
                                        "scalar\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("family, expression",
-                         [("I", "2^15000"), ("mq2", "2^15000 * a")])
-def test_reduce_unprintable_coefficient_exits_1(capsys, family, expression):
+                         [("I", "2^15000"), ("mq2", "2^15000 * a"),
+                          ("I", "U1 * [[2^15000, b1], [0, g1]]")])
+def test_reduce_unprintable_coefficient_exits_2(capsys, family, expression,
+                                                fmt):
     # 2^15000 has 4516 decimal digits, past the interpreter's limit for
     # integer to string conversion, so the normal form cannot be printed
+    code, out = _run(["reduce", "--type", family, expression,
+                      "--format", fmt])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: the normal form has a coefficient longer than %d digits, "
+        "the limit for printing an integer\n" % sys.get_int_max_str_digits())
+
+
+@pytest.mark.parametrize("family, expression, normal_form",
+                         [("I", "2^14000", "%d"),
+                          ("mq2", "2^14000 * a", "%d * a")],
+                         ids=["I", "mq2"])
+def test_reduce_long_printable_coefficient_exits_0(family, expression,
+                                                   normal_form):
+    # 2^14000 has 4215 decimal digits, inside the limit
     code, out = _run(["reduce", "--type", family, expression])
-    assert (code, out) == (1, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: ValueError: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert (code, out) == (0, normal_form % 2 ** 14000 + "\n")
 
 
 def test_reduce_deep_background_word_exits_0():

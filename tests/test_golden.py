@@ -33,6 +33,10 @@ scalar.  The two Type I mixed-width inputs, a product and a sum whose
 operands meet at digit widths 64 and 128, 192 and 128, and 256 and 64,
 were recorded from the engine whose wide sum and wide product each
 repacked their operands in their own code.
+The `modular` outputs, for the words "S T", "T S' T" and the 8-letter
+"S T T' S S' T S T", were recorded from the engine whose SL(2, Z) and
+background matrices each wrote their own product, equality, hash and
+text.
 """
 
 import hashlib
@@ -112,6 +116,28 @@ REDUCE_SHA256 = {
         "d2bf17522374dcbbb0f87157abeee69e2caa4281fcad2051c013da31ceec8c1b"),
 }
 
+# (type, word) -> sha256 of the `modular` output in text and in JSON
+MODULAR_SHA256 = {
+    ("I", "S T"): (
+        "eeaabb52cc94853fd5fbcc29eeedffd6a98d18ba1ece599722cbf4a233f0b35b",
+        "d258b4b8a014fffbca7d8d6d28dd343f1756f5513ebd8ce5ad792a2b2cf1d37e"),
+    ("I", "T S' T"): (
+        "806d6677d05b34d5623a2c4b5d918a86e1aaf63c62717d82f3ee08eedf8f0d55",
+        "753b2239e020b468add34c3e0f35da06024f485d657a337b0d6f7fdc9a420135"),
+    ("I", "S T T' S S' T S T"): (
+        "49484fbad32dc5ebd2af26d00f5859a4dc5eaf863c34372cb07894a8ac30cb42",
+        "07b20fc5bdceb4f9a28d71435ad4388c3ed31ab5f54c35170d767eff0f0567e0"),
+    ("II", "S T"): (
+        "8e4841080eee660843ef37e2d14b567f4e0045cdabaac750962a7f400bf8a3cd",
+        "3bdf72216e32cfc6208eaef3429c0d164b024405f95a033400a623e3d10387bd"),
+    ("II", "T S' T"): (
+        "7b98ff76f6b1b38b5aca96535375e400d1ae855a87165ead1a591c3e8d908c2a",
+        "2cda68017bd265e9850dc10ac7bbd2c900a86f6bbbe8e46d733acc4fae0a41dd"),
+    ("II", "S T T' S S' T S T"): (
+        "6853650a8ffe2f06875c685b099eca822145e681bde099d691c7c7a8ecfee210",
+        "60446606b587675a0ee8d3a2400a71948b2cb9e71dc01b2dc4f2a433ca3200e6"),
+}
+
 
 def _digest(argv):
     out = io.StringIO()
@@ -187,5 +213,14 @@ def test_verify_text_matches_golden_hash(argv):
 def test_reduce_matches_golden_hash(family, expression):
     text, json = REDUCE_SHA256[family, expression]
     argv = ["reduce", "--type", family, expression]
+    assert _digest([*argv, "--format", "text"]) == text
+    assert _digest([*argv, "--format", "json"]) == json
+
+
+@pytest.mark.parametrize("family, word", sorted(MODULAR_SHA256),
+                         ids=[" ".join(key) for key in sorted(MODULAR_SHA256)])
+def test_modular_matches_golden_hash(family, word):
+    text, json = MODULAR_SHA256[family, word]
+    argv = ["modular", "--type", family, "--word", word]
     assert _digest([*argv, "--format", "text"]) == text
     assert _digest([*argv, "--format", "json"]) == json

@@ -105,3 +105,9 @@ def test_scale_and_equality():
         assert u1.scale(q_pow(2)).scale(q_pow(-2)) == u1
         assert u1 != generator_matrix(2, fam)
         assert hash(u1) == hash(generator_matrix(1, fam))
+
+
+def test_text_and_repr():
+    u1 = generator_matrix(1, TYPE_III)
+    assert (u1.text(), repr(u1)) == ("[[a1, b1], [0, g1]]",
+                                     "<III: [[a1, b1], [0, g1]]>")

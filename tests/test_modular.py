@@ -139,3 +139,9 @@ def test_sl2z_helpers():
     assert (s * s * s * s) == SL2ZMatrix.identity()
     assert s.rows() == ((0, 1), (-1, 0))
     assert s.text() == "[[0, 1], [-1, 0]]"
+    assert repr(s) == "SL2ZMatrix(0, 1, -1, 0)"
+
+
+def test_sl2z_product_takes_matrices_only():
+    with pytest.raises(TypeError):
+        SL2ZMatrix(1, 0, 0, 1) * 3

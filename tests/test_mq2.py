@@ -71,6 +71,8 @@ def test_displayed_inverse():
     u = generator_full_matrix()
     assert u * uinv == FullMatrix.identity()
     assert uinv * u == FullMatrix.identity()
+    text = "[[d * Di, -s^-2 * b * Di], [-s^2 * c * Di, a * Di]]"
+    assert (uinv.text(), repr(uinv)) == (text, "FullMatrix(%s)" % text)
 
 
 def test_square_determinant_frozen_values():

@@ -317,14 +317,16 @@ def test_unit_products_move_the_other_factor(monkeypatch):
 
 
 def test_unit_times_a_dict_held_value_runs_term_by_term(monkeypatch):
+    # the kernel of every term-pair product: one product per multiply,
+    # with the dict-held scalar kernel
     calls = []
-    term_by_term = scalars._mul_terms
+    term_by_term = scalars.product
 
-    def spy(x, y):
-        calls.append(None)
-        return term_by_term(x, y)
+    def spy(x, y, kernel, rules=None):
+        calls.append(kernel)
+        return term_by_term(x, y, kernel, rules)
 
-    monkeypatch.setattr(scalars, "_mul_terms", spy)
+    monkeypatch.setattr(scalars, "product", spy)
     held = [LaurentScalar({(0, 0): 1, (0, 1): -2, (3, 2): 5}),
             LaurentScalar({(0, 0): 1, (10 ** 6, 0): 1})]
     assert all(x._packed is None for x in held)
@@ -335,6 +337,7 @@ def test_unit_times_a_dict_held_value_runs_term_by_term(monkeypatch):
             _same(unit * x, du * dx)
             _same(x * unit, dx * du)
     assert len(calls) == 2 * len(held) * len(UNITS)
+    assert all(kernel is scalars._term_mul for kernel in calls)
 
 
 @pytest.mark.parametrize("k", [0, 3, -5])

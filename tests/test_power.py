@@ -188,18 +188,18 @@ def test_non_growing_powers_take_log_products(monkeypatch):
     x = generator("a1", 1, TYPE_II) * generator("g2", 1, TYPE_II)
     calls.clear()
     assert (x ** n).single_term()[0] == (0, n, 0, 0, n)
-    assert len(calls) <= 2 * n.bit_length() + 2
+    assert 0 < len(calls) <= 2 * n.bit_length() + 2
     u = generator_matrix(1, TYPE_II)
     calls.clear()
     assert u.pow(n) == closed_power(1, n, TYPE_II)
     # a triangular product takes four entry products
-    assert len(calls) <= 4 * (2 * n.bit_length() + 2)
+    assert 0 < len(calls) <= 4 * (2 * n.bit_length() + 2)
 
     blocks = _count(monkeypatch, mq2, "_block_mul")
     a = QGElement.generator("a")
     assert (a ** 2 ** 17) == QGElement.generator("a", 2 ** 17)
     # a background product is two block products, unprimed and primed
-    assert len(blocks) <= 2 * (2 * 18 + 2)
+    assert 0 < len(blocks) <= 2 * (2 * 18 + 2)
 
 
 def test_growing_powers_multiply_one_factor_at_a_time(monkeypatch):
@@ -212,7 +212,7 @@ def test_growing_powers_multiply_one_factor_at_a_time(monkeypatch):
         spent = len(blocks)
         blocks.clear()
         assert got == nfold_power(QGElement.one(), dense, k)
-        assert spent == len(blocks)
+        assert 0 < spent == len(blocks)
 
     monos = _count(monkeypatch, algebra, "_mono_mul")
     family = TYPE_II
@@ -224,4 +224,4 @@ def test_growing_powers_multiply_one_factor_at_a_time(monkeypatch):
         spent = len(monos)
         monos.clear()
         assert got == nfold_power(Element.one(family), binomial, k)
-        assert spent == len(monos)
+        assert 0 < spent == len(monos)
