@@ -118,44 +118,51 @@ def _mono_mul(out, left, right, coeff, family):
     shift.  The coefficients of an r = 1 family are r-free, so dropping the
     r shift there does what canon would do, without an r-bearing
     intermediate.  The right monomial enters one slot at a time, in the
-    order a1, a2, b, g1, g2, and each slot moves as a block: X^e crosses a
-    left exponent f of a later diagonal letter Y at the factor
-    q^(-e*f*E[x][y]), and b_k turns a1^a a2^b on its left into g1^a g2^b
-    at a times the a1 push and b times the a2 push of _BPUSH.
-    oracle_reduce applies the same rules one unit at a time.
+    order a1, a2, b, g1, g2.  A diagonal slot X^e crosses the later
+    letters on the left at a linear form in their current exponents, the
+    sum of their q^(-e*f*E[x][y]):
+
+        a1^e at s^(-2e(a2 - g2)),  a2^e at s^(-2e g1),
+        g1^e at s^(-2e g2),        g2^e crosses nothing.
+
+    Under Type I, g_i = a_i^-1: g^e before any b enters as a^-e, and a^e
+    after a b as g^-e.  b_k turns a1^a a2^b on its left into g1^a g2^b at
+    a times the a1 push and b times the a2 push of _BPUSH.  oracle_reduce
+    applies the same rules one unit at a time.
     """
-    beta = left[0]
-    exps = list(left[1:])
-    s_sh = 0
-    r_sh = 0
-    type_one = family.gamma_is_alpha_inverse
-    for slot in (1, 2, 0, 3, 4):
-        e = right[slot]
-        if not e:
-            continue
-        if slot == 0:
-            if beta:
-                raise BetaDegreeExceeded("product carries two b generators")
-            if exps[2] or exps[3]:
-                raise NonReducible(
-                    "g generators left of b%d admit no relation" % e)
-            (s1, r1), (s2, r2) = _BPUSH[(1, e)], _BPUSH[(2, e)]
-            s_sh += exps[0] * s1 + exps[1] * s2
-            r_sh += exps[0] * r1 + exps[1] * r2
-            beta, exps = e, [0, 0, exps[0], exps[1]]
-            continue
-        x = slot - 1
-        if type_one and (x >= 2) == (beta == 0):
-            # Type I: g_i = a_i^-1, so g^e before any b is a^-e and a^e
-            # after a b is g^-e
-            x, e = x ^ 2, -e
-        if x < 2 and beta:
+    beta, a1, a2, g1, g2 = left
+    eb, e1, e2, f1, f2 = right
+    s_sh = r_sh = 0
+    if not beta:
+        s_sh = 2 * (e1 * (g2 - a2) - e2 * g1)
+        a1 += e1
+        a2 += e2
+    elif e1 or e2:
+        if not family.gamma_is_alpha_inverse:
+            raise NonReducible("a%d right of b%d admits no relation"
+                               % (1 if e1 else 2, beta))
+        s_sh = 2 * e1 * g2
+        g1 -= e1
+        g2 -= e2
+    if eb:
+        if beta:
+            raise BetaDegreeExceeded("product carries two b generators")
+        if g1 or g2:
             raise NonReducible(
-                "a%d right of b%d admits no relation" % (x + 1, beta))
-        for y in range(x + 1, 4):
-            s_sh -= 2 * e * _E[x][y] * exps[y]
-        exps[x] += e
-    accumulate(out, (beta, *exps),
+                "g generators left of b%d admit no relation" % eb)
+        (s1, r1), (s2, r2) = _BPUSH[(1, eb)], _BPUSH[(2, eb)]
+        s_sh += a1 * s1 + a2 * s2
+        r_sh = a1 * r1 + a2 * r2
+        beta, a1, a2, g1, g2 = eb, 0, 0, a1, a2
+    if beta or not family.gamma_is_alpha_inverse:
+        s_sh -= 2 * f1 * g2
+        g1 += f1
+        g2 += f2
+    else:
+        s_sh += 2 * (f1 * (a2 - g2) + f2 * g1)
+        a1 -= f1
+        a2 -= f2
+    accumulate(out, (beta, a1, a2, g1, g2),
                coeff.shift(s_sh, 0 if family.r_is_one else r_sh))
 
 

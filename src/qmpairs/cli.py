@@ -70,6 +70,9 @@ _STRING = json.encoder.encode_basestring_ascii
 # a report's eight keys in sorted order, as _ENCODER would write them
 _REPORT_LINE = ('{"expected": %s, "family": %s, "lhs": %s, "params": %s, '
                 '"relation": %s, "rhs": %s, "status": %s, "suite": %s}')
+# that line for no sides, before params and after the relation
+_SIDELESS_HEAD = '{"expected": %s, "family": %s, "lhs": null, "params": '
+_SIDELESS_TAIL = ', "rhs": null, "status": %s, "suite": %s}'
 
 
 class UsageError(qmpairs.InputError):
@@ -100,10 +103,24 @@ def suites_for(family_token):
             if accepts is None or family_token in accepts]
 
 
-def _report_json(report, params):
+def _report_json(report, params, heads):
     """The bytes _ENCODER.encode writes for the report's eight fields,
-    given params, the encoded report.params."""
+    given params, the encoded report.params.  A report with sides fills
+    _REPORT_LINE; one with none is head + params + relation + tail, its
+    head and tail kept in heads under (expected, family, status, suite).
+    """
     lhs, rhs = report.lhs, report.rhs
+    if lhs is None and rhs is None:
+        key = (report.expected, report.family, report.status, report.suite)
+        ends = heads.get(key)
+        if ends is None:
+            ends = heads[key] = (
+                _SIDELESS_HEAD % ("true" if report.expected else "false",
+                                  _STRING(report.family)),
+                _SIDELESS_TAIL % (_STRING(report.status),
+                                  _STRING(report.suite)))
+        return "".join((ends[0], params, ', "relation": ',
+                        _STRING(report.relation), ends[1]))
     return _REPORT_LINE % (
         "true" if report.expected else "false", _STRING(report.family),
         "null" if lhs is None else _STRING(lhs),
@@ -141,6 +158,7 @@ def emit_reports(reports, fmt, out):
     checked = failed = expected = 0
     write = out.write
     held = []
+    heads = {}
     last = last_json = None
 
     def write_held():
@@ -163,8 +181,8 @@ def emit_reports(reports, fmt, out):
                 last = report.params
                 if fmt == "json":
                     last_json = _ENCODER.encode(last)
-            held.append(_report_json(report, last_json) if fmt == "json"
-                        else _report_text(report))
+            held.append(_report_json(report, last_json, heads)
+                        if fmt == "json" else _report_text(report))
     finally:
         # also on an engine error: the lines decided so far reach out
         if held:

@@ -73,8 +73,7 @@ def _commutation_products(m1, m2):
 
 # The texts of the q-commutation and of the six mutual relations of a
 # pair (M, N) = ((A1, B1; 0, C1), (A2, B2; 0, C2)), in report order; %d
-# is the half q exponent h of Q = s^h.  _q_commutation, _mutual and the
-# twin path of verify_theorem2 all read them here.
+# is the half q exponent h of Q = s^h.  _relation_texts fills them in.
 _Q_COMMUTATION = "M*N = s^%d * N*M"
 _MUTUAL = (
     "A1*A2 = Q*A2*A1 [Q=s^%d]",
@@ -86,41 +85,48 @@ _MUTUAL = (
 )
 
 
-def _q_commutation(products, half_q_exponent, suite, family, params):
-    """M*N = (a1a2, a1b2 + b1c2; 0, c1c2) against
-    Q*N*M = Q*(a2a1, a2b1 + b2c1; 0, c2c1), from the eight products."""
-    a1a2, a1b2, b1c2, c1c2, a2a1, a2b1, b2c1, c2c1 = products
-    return compare(UTMatrix(a1a2, a1b2 + b1c2, c1c2),
-                   UTMatrix(a2a1, a2b1 + b2c1, c2c1).scale(
-                       q_pow(half_q_exponent)),
-                   suite, family, params, _Q_COMMUTATION % half_q_exponent)
+def _relation_texts(half_q_exponent):
+    return [relation % half_q_exponent
+            for relation in (_Q_COMMUTATION,) + _MUTUAL]
 
 
-def _mutual(products, u1, u2, half_q_exponent, suite, family, params):
-    """Reports for the six mutual relations of (u1, u2), from the eight
-    q-commutation products and the four diagonal cross products a1c2, c2a1,
-    a2c1, c1a2, which are reduced here."""
-    a1a2, a1b2, b1c2, c1c2, a2a1, a2b1, b2c1, c2c1 = products
-    a1, c1, a2, c2 = u1.a11, u1.a22, u2.a11, u2.a22
+def _pair_sides(m1, m2, half_q_exponent):
+    """The two sides of the q-commutation of (m1, m2), M*N against
+    Q*N*M, and then of its six mutual relations, one pair at a time.
+
+    Q*a2a1, Q*a2b1, Q*b2c1 and Q*c2c1 are formed once, for both: on
+    canonical forms Q*(x + y) = Q*x + Q*y exactly, so (Q*a2a1, Q*a2b1 +
+    Q*b2c1; 0, Q*c2c1) is Q*N*M.  The mutual relations add the diagonal
+    cross products a1c2, c2a1, a2c1 and c1a2.
+    """
+    a1a2, a1b2, b1c2, c1c2, *rest = _commutation_products(m1, m2)
     Q = q_pow(half_q_exponent)
-    Qinv = q_pow(-half_q_exponent)
-    sides = (
-        (a1a2, a2a1.scale(Q)),
-        (a1 * c2, (c2 * a1).scale(Qinv)),
-        (a2 * c1, (c1 * a2).scale(Q)),
-        (c1c2, c2c1.scale(Q)),
-        (a1b2, b2c1.scale(Q)),
-        (b1c2, a2b1.scale(Q)),
-    )
-    return [compare(lhs, rhs, suite, family, params,
-                    relation % half_q_exponent)
-            for relation, (lhs, rhs) in zip(_MUTUAL, sides)]
+    qa2a1, qa2b1, qb2c1, qc2c1 = [x.scale(Q) for x in rest]
+    a1, c1, a2, c2 = m1.a11, m1.a22, m2.a11, m2.a22
+    yield (UTMatrix(a1a2, a1b2 + b1c2, c1c2),
+           UTMatrix(qa2a1, qa2b1 + qb2c1, qc2c1))
+    yield a1a2, qa2a1
+    yield a1 * c2, (c2 * a1).scale(q_pow(-half_q_exponent))
+    yield a2 * c1, (c1 * a2).scale(Q)
+    yield c1c2, qc2c1
+    yield a1b2, qb2c1
+    yield b1c2, qa2b1
+
+
+def _pair_relations(m1, m2, half_q_exponent, suite, family, params,
+                    relations):
+    """One report for each text of relations, a prefix of
+    _relation_texts(half_q_exponent): the q-commutation, then the mutual
+    relations, each reduced only when its text is there."""
+    return [compare(lhs, rhs, suite, family, params, relation)
+            for relation, (lhs, rhs) in zip(
+                relations, _pair_sides(m1, m2, half_q_exponent))]
 
 
 def check_q_commutation(m1, m2, half_q_exponent, suite="adhoc", params=None):
     """Report whether m1 * m2 = q^(half_q_exponent/2) * m2 * m1."""
-    return [_q_commutation(_commutation_products(m1, m2), half_q_exponent,
-                           suite, m1.family.value, params)]
+    return _pair_relations(m1, m2, half_q_exponent, suite, m1.family.value,
+                           params, [_Q_COMMUTATION % half_q_exponent])
 
 
 def check_internal(matrix, central_value, nd_parameter, suite="adhoc",
@@ -150,9 +156,9 @@ def check_mutual(pair, half_q_exponent, suite="adhoc", params=None):
     Q stands for q^(half_q_exponent/2).  The first four lines are the
     diagonal block, the last two couple a corner with the other matrix.
     """
-    u1, u2 = pair.u1, pair.u2
-    return _mutual(_commutation_products(u1, u2), u1, u2, half_q_exponent,
-                   suite, pair.family.value, params)
+    return _pair_relations(pair.u1, pair.u2, half_q_exponent, suite,
+                           pair.family.value, params,
+                           _relation_texts(half_q_exponent))[1:]
 
 
 def _member(pair, n, m):
@@ -202,11 +208,13 @@ def verify_pair(pair, half_q_exponent=2, power=1):
     central, nd = family_internal_parameters(pair.family, power)
     family = pair.family.value
     u1, u2 = pair.u1, pair.u2
-    products = _commutation_products(u1, u2)
-    return ([_q_commutation(products, half_q_exponent, "pair", family, {})]
+    first, *mutual = _pair_relations(u1, u2, half_q_exponent, "pair",
+                                     family, {},
+                                     _relation_texts(half_q_exponent))
+    return ([first]
             + check_internal(u1, central, nd, "pair", tag="U1: ")
             + check_internal(u2, central, nd, "pair", tag="U2: ")
-            + _mutual(products, u1, u2, half_q_exponent, "pair", family, {}))
+            + mutual)
 
 
 # Diagonal generator pairs and the q-exponent of X Y = q^e Y X.
@@ -233,6 +241,7 @@ def _diagonal_swaps(family, swaps, power_range, suite):
     """Reports for X^n Y^m = q^(e n m) Y^m X^n, for each (X, Y, e) in
     swaps and all exponents in [-power_range, power_range]."""
     rng = range(-power_range, power_range + 1)
+    fam = family.value
     for x, y, e in swaps:
         for n in rng:
             xs = generator(x, n, family)
@@ -241,7 +250,7 @@ def _diagonal_swaps(family, swaps, power_range, suite):
                 lhs = xs * ys
                 rhs = (ys * xs).scale(q_pow(2 * e * n * m))
                 yield compare(
-                    lhs, rhs, suite, family.value, {"n": n, "m": m},
+                    lhs, rhs, suite, fam, {"n": n, "m": m},
                     "%s^n * %s^m = q^(%d*n*m) * %s^m * %s^n" % (x, y, e, y, x))
 
 
@@ -292,12 +301,12 @@ def verify_prop3(family, power_range):
                           "U%d^n = closed power form" % index)
 
 
-def _theorem1_point(pair, n, m):
+def _theorem1_point(pair, n, m, fam):
     family = pair.family
     product = closed_product_entries(n, m, family)
     power_product = pair.u1_pow(n) * pair.u2_pow(m)
     params = {"n": n, "m": m}
-    out = [compare(product, power_product, "theorem1", family.value, params,
+    out = [compare(product, power_product, "theorem1", fam, params,
                    "closed entries = U1^n*U2^m")]
     central, nd = family_internal_parameters(family, n)
     if central is not None:
@@ -316,24 +325,25 @@ def verify_theorem1(family, power_range):
     expected to fail and are reported with expected=True.
     """
     pair = generator_pair(family)
+    fam = family.value
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
         for n in rng:
-            yield from _theorem1_point(pair, n, n)
+            yield from _theorem1_point(pair, n, n, fam)
         probe = closed_product_entries(2, 1, family)
         a, b, c = probe.a11, probe.a12, probe.a22
-        yield compare(a * c, c * a, "theorem1", family.value,
+        yield compare(a * c, c * a, "theorem1", fam,
                       {"n": 2, "m": 1}, "A*C = C*A")
         lhs = a * b
         for k in range(-8, 9):
             rhs = (b * c).scale(r_pow(k))
-            yield compare(lhs, rhs, "theorem1", family.value,
+            yield compare(lhs, rhs, "theorem1", fam,
                           {"n": 2, "m": 1}, "A*B = r^%d * B*C" % k,
                           expected=True)
     else:
         for n in rng:
             for m in rng:
-                yield from _theorem1_point(pair, n, m)
+                yield from _theorem1_point(pair, n, m, fam)
 
 
 @streamed
@@ -347,12 +357,11 @@ def verify_theorem2(family, power_range):
 
     A member and its internal relations depend on its own exponents only,
     so each member is built once (see make_product_pair) and its internal
-    checks run once per member and internal parameters, untagged, whether
-    it comes up as V1 or as V2; every quadruple reports copies of them
-    under its own params, with its "V1: " or "V2: " tag on the relation.
-    Per quadruple the run reduces the eight entry products of M*N and N*M
-    once; the q-commutation sides are built from them, and the mutual
-    relations reuse them and add the four diagonal cross products.
+    checks run once per member and internal parameters.  Their fields are
+    kept with the tag "V1: " and with "V2: " on the relation, each list
+    built once, and every quadruple reports them under its own params.
+    The pair relations of a quadruple come from _pair_sides, with the
+    seven relation texts built once per h.
 
     An off-diagonal quadruple and its twin (s, t, n, m) are decided
     together.  Write M = (n, m), N = (s, t), h = 2(nt - ms) and Q = s^h;
@@ -379,10 +388,13 @@ def verify_theorem2(family, power_range):
     A quadruple's pair relations are decided before its internal reports
     are written; its reports, in the order q-commutation, V1 internal, V2
     internal, mutual, share one params dict.  Only the members, their
-    internal reports and pending twin keys are kept across quadruples.
+    tagged internal fields, the texts and pending twin keys are kept
+    across quadruples.
     """
     pair = generator_pair(family)
+    fam = family.value
     internal = {}
+    texts = {}
     held = set()
     rng = range(-power_range, power_range + 1)
     if family is TYPE_III:
@@ -396,28 +408,28 @@ def verify_theorem2(family, power_range):
         params = {"n": n, "m": m, "s": s, "t": t}
         central, nd = family_internal_parameters(family, n)
         v1, v2 = derived.u1, derived.u2
+        if half not in texts:
+            texts[half] = _relation_texts(half)
+        relations = texts[half]
         if (s, t, n, m) in held:
             held.remove((s, t, n, m))
-            first, *mutual = [RelationReport("theorem2", family.value, params,
-                                             relation % half)
-                              for relation in (_Q_COMMUTATION,) + _MUTUAL]
+            first, *mutual = [RelationReport("theorem2", fam, params, text)
+                              for text in relations]
         else:
-            products = _commutation_products(v1, v2)
-            first = _q_commutation(products, half, "theorem2",
-                                   family.value, params)
-            mutual = _mutual(products, v1, v2, half, "theorem2",
-                             family.value, params)
+            first, *mutual = _pair_relations(v1, v2, half, "theorem2", fam,
+                                             params, relations)
             # the twin comes later in the grid exactly when (s, t) > (n, m)
             if family is not TYPE_III and (s, t) > (n, m) and all(
                     report.status == HOLDS for report in [first, *mutual]):
                 held.add((n, m, s, t))
         yield first
-        for tag, member, exps in (("V1: ", v1, (n, m)), ("V2: ", v2, (s, t))):
+        for index, member, exps in ((0, v1, (n, m)), (1, v2, (s, t))):
             key = (exps, central, nd)
             if key not in internal:
-                internal[key] = check_internal(member, central, nd, "theorem2")
-            for report in internal[key]:
-                yield RelationReport("theorem2", family.value, params,
-                                     tag + report.relation, report.status,
-                                     report.expected, report.lhs, report.rhs)
+                reports = check_internal(member, central, nd, "theorem2")
+                internal[key] = [
+                    [(tag + r.relation, r.status, r.expected, r.lhs, r.rhs)
+                     for r in reports] for tag in ("V1: ", "V2: ")]
+            for fields in internal[key][index]:
+                yield RelationReport("theorem2", fam, params, *fields)
         yield from mutual

@@ -149,13 +149,14 @@ class SparseSum:
         return "".join(chunks) or "0"
 
 
-def product(x, y, kernel, rules=None):
-    """The term-pair product of two term mappings, as a new dict out: for
-    each term of x and each of y, kernel(out, key_x, key_y, coeff_x *
-    coeff_y, rules) adds that pair's product into out, with whatever
-    factor or extra terms the algebra's reordering brings.  rules is
-    what the kernel needs beyond the keys: an Element's family."""
-    out = {}
+def product(x, y, kernel, rules=None, out=None):
+    """The term-pair product of two term mappings, added into out, a new
+    dict by default: for each term of x and each of y, kernel(out, key_x,
+    key_y, coeff_x * coeff_y, rules) adds that pair's product into out,
+    with whatever factor or extra terms the algebra's reordering brings.
+    rules is what the kernel needs beyond the keys: an Element's family."""
+    if out is None:
+        out = {}
     right = y.items()
     for kx, cx in x.items():
         for ky, cy in right:

@@ -128,21 +128,27 @@ def test_pbw_order_independence():
     assert not _bad(verify_pbw_smoke(word_count=150, max_length=6, seed=4))
 
 
-def _skew_word(monkeypatch, strategies):
+def _skew_word(monkeypatch, target, strategies):
     """Patch reduce_word to add a^9 b^9 c^9 d^9 to the forms that the
-    given strategies give the second word; return the words seen."""
-    words = []
+    given strategies give the word target; return the (word, strategy)
+    of every call, in call order."""
+    calls = []
 
     def skewed(word, strategy="leftmost"):
+        calls.append((tuple(word), strategy))
         out = reduce_word(word, strategy)
-        if strategy == "leftmost":
-            words.append(word)
-        if len(words) == 2 and strategy in strategies:
+        if tuple(word) == target and strategy in strategies:
             out[(9, 9, 9, 9)] = ONE
         return out
 
     monkeypatch.setattr(mq2, "reduce_word", skewed)
-    return words
+    return calls
+
+
+def _word(report):
+    """The letter word that a smoke report names."""
+    name = report.relation[len("word "):report.relation.index(":")]
+    return () if name == "(empty)" else tuple("abcd".index(x) for x in name)
 
 
 def _form(word, extra=False):
@@ -155,36 +161,67 @@ def _form(word, extra=False):
     return QGElement(terms)
 
 
-def test_pbw_smoke_reports_disagreeing_strategies(monkeypatch):
-    """When the two strategies disagree on one word, its report alone is
-    violated, and carries the leftmost and the rightmost normal form as
-    monomial texts that parse_background reads back."""
-    words = _skew_word(monkeypatch, ("rightmost",))
+# verify_pbw_smoke(word_count=5, max_length=4, seed=7) draws the words
+# bd, (empty), (empty), acab, (empty); each skewed word, chosen by value,
+# with the draws that name it
+SKEWED = {(): [1, 2, 4], (0, 2, 0, 1): [3]}
+
+
+def _skewed_reports(monkeypatch, target, strategies):
+    """The smoke reports with target skewed, checked to be violated at
+    exactly the draws of target and nowhere else."""
+    _skew_word(monkeypatch, target, strategies)
     reports = verify_pbw_smoke(word_count=5, max_length=4, seed=7)
     assert len(reports) == 5
-    bad, = _bad(reports)
-    assert (bad.suite, bad.family, bad.params) == ("mq2", "mq2", {"n": 1})
-    left, right = _form(words[1]), _form(words[1], extra=True)
-    assert (bad.lhs, bad.rhs) == (left.text(), right.text())
-    assert bad.rhs.endswith(" + a^9 * b^9 * c^9 * d^9")
-    assert parse_background(bad.lhs) == left
-    assert parse_background(bad.rhs) == right
+    draws = SKEWED[target]
+    assert [n for n, r in enumerate(reports) if _word(r) == target] == draws
+    bad = _bad(reports)
+    assert [r.params for r in bad] == [{"n": n} for n in draws]
+    assert all((r.suite, r.family) == ("mq2", "mq2") for r in bad)
+    return bad
+
+
+def test_pbw_smoke_reports_disagreeing_strategies(monkeypatch):
+    """When the two strategies disagree on one word, every report of that
+    word, and no other, is violated, and carries the leftmost and the
+    rightmost normal form as monomial texts that parse_background reads
+    back."""
+    for target in SKEWED:
+        left, right = _form(target), _form(target, extra=True)
+        for bad in _skewed_reports(monkeypatch, target, ("rightmost",)):
+            assert (bad.lhs, bad.rhs) == (left.text(), right.text())
+            assert bad.rhs.endswith(" + a^9 * b^9 * c^9 * d^9")
+            assert parse_background(bad.lhs) == left
+            assert parse_background(bad.rhs) == right
 
 
 def test_pbw_smoke_reports_agreeing_wrong_form(monkeypatch):
     """When both strategies agree on a form that is not the product of
-    the letters, the report carries that form and the product's text."""
-    words = _skew_word(monkeypatch, ("leftmost", "rightmost"))
-    reports = verify_pbw_smoke(word_count=5, max_length=4, seed=7)
-    bad, = _bad(reports)
-    assert bad.params == {"n": 1}
-    wrong = _form(words[1], extra=True)
-    product = QGElement.one()
-    for letter in words[1]:
-        product = product * gen("abcd"[letter])
-    assert (bad.lhs, bad.rhs) == (wrong.text(), product.text())
-    assert parse_background(bad.lhs) == wrong
-    assert parse_background(bad.rhs) == product
+    the letters, every report of that word carries that form and the
+    product's text."""
+    for target in SKEWED:
+        wrong = _form(target, extra=True)
+        product = QGElement.one()
+        for letter in target:
+            product = product * gen("abcd"[letter])
+        for bad in _skewed_reports(monkeypatch, target,
+                                   ("leftmost", "rightmost")):
+            assert (bad.lhs, bad.rhs) == (wrong.text(), product.text())
+            assert parse_background(bad.lhs) == wrong
+            assert parse_background(bad.rhs) == product
+
+
+def test_pbw_smoke_reduces_each_distinct_word_once(monkeypatch):
+    """reduce_word runs exactly twice per distinct word, once for each
+    strategy, however often the word is drawn."""
+    calls = _skew_word(monkeypatch, None, ())
+    reports = verify_pbw_smoke()
+    assert not _bad(reports)
+    words = {_word(report) for report in reports}
+    assert len(words) < len(reports)
+    assert sorted(calls) == sorted(
+        (word, strategy) for word in words
+        for strategy in ("leftmost", "rightmost"))
 
 
 def test_reduce_word_strategies_agree():
