@@ -12,6 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pinned
 import qmpairs
 from qmpairs import TYPE_II, cli, verify_prop1, verify_theorem2
 from qmpairs.cli import SUITES, main, stream_reports, suites_for
@@ -428,24 +429,17 @@ class _Recorder:
         return len(text)
 
 
-# sha256 of `qmp verify --suite theorem2 --type I --range 1` by format
-_THEOREM2_I_RANGE1_SHA256 = {
-    "json": "271fb0ea98b2d29b54ea4943e24f321635c9484619c0809fae18c6d6557d4f32",
-    "text": "84e0c6c62c5cb74e83f6efd928b6bd7ba815d60254e690e00244e5c3296d6122",
-}
-
-
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_writes_each_grid_point_once(fmt):
     """One write per theorem2 quadruple (3^4 = 81 at range 1), each
     holding that quadruple's reports only; text adds its summary line
     as a last write of its own, and the bytes are unchanged."""
+    argv = ("verify", "--suite", "theorem2", "--type", "I", "--range", "1",
+            "--format", fmt)
     out = _Recorder()
-    assert main(["verify", "--suite", "theorem2", "--type", "I",
-                 "--range", "1", "--format", fmt], out=out) == 0
+    assert main(list(argv), out=out) == 0
     joined = "".join(out.writes).encode()
-    assert hashlib.sha256(joined).hexdigest() == \
-        _THEOREM2_I_RANGE1_SHA256[fmt]
+    assert hashlib.sha256(joined).hexdigest() == pinned.SHA256[argv]
     reports = list(verify_theorem2.stream(qmpairs.TYPE_I, 1))
     # every report is alive in the list, so ids tell params objects apart
     points = [list(group) for _, group
