@@ -13,8 +13,18 @@ A monomial is the exponent vector (i, j, k, l, m) of a^i b^j c^k d^l
 Di^m followed by the primed block; all exponents are nonnegative, and
 i, l, m are never all positive, since a d Di collapses to 1 + q b c Di.
 Products work on exponent blocks by closed rules (see _block_mul), with
-one bounded cache of block products.  reduce_word applies the directed
-rules one adjacent swap at a time and is the independent oracle.
+one bounded cache of block products.  The a's of a right block enter a
+left block at once, through one sum over the t a's consumed,
+
+    b^j c^k d^l a^n = sum_(t=0..min(n,l)) q^(-(j+k)(n-t)) [n t]_v
+                      prod_(u=l-t+1..l) (q^(1-2u) - q)
+                      a^(n-t) b^(j+t) c^(k+t) d^(l-t),
+
+with v = q^-2 and [n t]_v the Gaussian binomial, which counts where the
+n - t surviving a's fall among the consumed ones (Kassel, Quantum
+Groups, Ch. IV; Klimyk and Schmüdgen, Quantum Groups and Their
+Representations, Ch. 9).  reduce_word applies the directed rules one
+adjacent swap at a time and is the independent oracle.
 
 verify_results decides the relations of U^n and of U^n U'^n from
 products of two matrix entries, each reduced when a relation first
@@ -92,40 +102,29 @@ def _block_mul(x, y):
     """Normal form of the block product x * y as a tuple of (block, scalar).
 
     A block is the exponent vector (i, j, k, l, m) of a^i b^j c^k d^l Di^m.
-    When x has no d, the a's of y enter at once through
-
-        b^j c^k a^i = q^-((j+k)i) a^i b^j c^k,
-
-    which is the t = 0 term, and when l = 0 the only one, of the closed
-    sum over the t a's consumed (ROADMAP, "A closed-form block
-    product").  Otherwise they enter one at a time through
-
-        b^j c^k d^l a = q^-(j+k) a b^j c^k d^l
-                        + (q^(1-2l) - q) b^(j+1) c^(k+1) d^(l-1),
-
-    which follows by induction on l from d b c = q^-2 b c d.  Then
-    b^j' c^k' d^l' append at q^(-l(j'+k')), and Di^(m+m') is absorbed
-    level by level, each level taking one a and one d through
-    a d Di = 1 + q b c Di.
+    The n a's of y enter b^j c^k d^l by the module docstring's sum, whose
+    term t is s^(-2(j+k)(n-t)) [n t]_v prod_(u=l-t+1..l) (s^(2-4u) - s^2)
+    with v = s^-4, from one q-Pascal row [r t] = [r-1 t-1] + v^t [r-1 t]
+    cut off at t <= min(n, l).  Then b^j' c^k' d^l' append at
+    q^(-(l-t)(j'+k')), and Di^(m+m') is absorbed level by level, each
+    level taking one a and one d through a d Di = 1 + q b c Di.
     """
-    if x[3]:
-        terms = {x[:4]: ONE}
-        for _ in range(y[0]):
-            entered = {}
-            for (i, j, k, l), coeff in terms.items():
-                accumulate(entered, (i + 1, j, k, l),
-                           coeff.shift(-2 * (j + k)))
-                if l:
-                    accumulate(entered, (i, j + 1, k + 1, l - 1),
-                               coeff.shift(2 - 4 * l) - coeff.shift(2))
-            terms = entered
-    else:
-        i, j, k, _ = x[:4]
-        terms = {(i + y[0], j, k, 0): q_pow(-2 * (j + k) * y[0])}
-    _, j2, k2, l2, m2 = y
-    live = {(i, j + j2, k + k2, l + l2, x[4] + m2):
-            coeff.shift(-2 * l * (j2 + k2))
-            for (i, j, k, l), coeff in terms.items()}
+    i, j, k, l, m = x
+    n, j2, k2, l2, m2 = y
+    top = min(n, l)
+    # ones, as [r r] = 1 is never rewritten; top = 0 builds no row
+    binomials = [ONE] * (top + 1)
+    for r in range(2, n + 1 if top else 2):
+        for t in range(min(r - 1, top), 0, -1):
+            binomials[t] = binomials[t - 1] + binomials[t].shift(-4 * t)
+    live = {}
+    consumed = ONE
+    for t in range(top + 1):
+        if t:
+            consumed = consumed.shift(2 - 4 * (l - t + 1)) - consumed.shift(2)
+        live[i + n - t, j + t + j2, k + t + k2, l - t + l2, m + m2] = \
+            (binomials[t] * consumed).shift(
+                -2 * (j + k) * (n - t) - 2 * (l - t) * (j2 + k2))
     out = {}
     while live:
         level = {}

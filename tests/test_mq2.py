@@ -17,6 +17,8 @@ from qmpairs.mq2 import (
 )
 from qmpairs.grammar import parse_background
 
+from block_loop import loop_block_mul
+from letter_oracle import letter_block_mul
 from relation_oracle import check_matrix, entry_products, plain_join
 
 gen = QGElement.generator
@@ -302,6 +304,59 @@ def test_d_free_large_exponent_is_one_term():
     assert (big * big).terms == {(20000,) + (0,) * 9: ONE}
     assert (gen("b") * big).terms == \
         {(10000, 1) + (0,) * 8: q_pow(-20000)}
+
+
+def _random_block(rng, top):
+    """A normal-form block with exponents up to top: a, d and Di are
+    never all present."""
+    block = [rng.randint(0, top) for _ in range(5)]
+    if block[0] and block[3] and block[4]:
+        block[rng.choice((0, 3, 4))] = 0
+    return tuple(block)
+
+
+def test_block_product_matches_per_a_loop():
+    """The closed sum against the per-a loop it replaced, Di included."""
+    rng = random.Random(59)
+    for _ in range(2000):
+        x, y = _random_block(rng, 9), _random_block(rng, 9)
+        assert dict(_block_mul.__wrapped__(x, y)) == loop_block_mul(x, y), \
+            (x, y)
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_d_power_times_a_power_matches_per_a_loop(k):
+    x, y = (0, 0, 0, k, 0), (k, 0, 0, 0, 0)
+    assert dict(_block_mul.__wrapped__(x, y)) == loop_block_mul(x, y)
+
+
+def test_letter_oracle_matches_word_reduction():
+    word = _letters((0, 0, 0, 4)) + _letters((4, 0, 0, 0))
+    expected = {block + (0,): coeff
+                for block, coeff in reduce_word(word).items()}
+    assert letter_block_mul((0, 0, 0, 4, 0), (4, 0, 0, 0, 0)) == expected
+
+
+def test_block_product_matches_letter_oracle():
+    """The closed sum against the rule-level oracle on random block
+    pairs with exponents up to 12, Di included."""
+    rng = random.Random(61)
+    for _ in range(100):
+        x, y = _random_block(rng, 12), _random_block(rng, 12)
+        assert dict(_block_mul.__wrapped__(x, y)) == letter_block_mul(x, y), \
+            (x, y)
+
+
+# d^k a^k to k = 30 here (about 1 s in all); k = 40 takes the oracle
+# about 2 s and runs in CI as `python tests/letter_oracle.py 40`
+@pytest.mark.parametrize("x, y", [
+    ((0, 0, 0, 8, 0), (8, 0, 0, 0, 0)),
+    ((0, 0, 0, 20, 0), (20, 0, 0, 0, 0)),
+    ((0, 0, 0, 30, 0), (30, 0, 0, 0, 0)),
+    ((2, 3, 4, 12, 0), (10, 1, 2, 3, 2)),
+])
+def test_block_product_matches_letter_oracle_at_large_exponents(x, y):
+    assert dict(_block_mul.__wrapped__(x, y)) == letter_block_mul(x, y)
 
 
 # planted faults: (entry, letters), an extra product of the letters on
